@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import statistics
 import sys
 
 import numpy as np
@@ -38,16 +39,8 @@ _MIN_TOL = sys.float_info.epsilon * 1e3
 
 def _common_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1, help="worker count for sweeps")
-    common.add_argument("--seed", type=int, default=0, help="sampling seed")
     common.add_argument("--format", choices=("csv", "json"), default=None)
     common.add_argument("--out", default=None, help="output file (default: stdout)")
-    common.add_argument(
-        "--candidate-cap",
-        type=int,
-        default=DEFAULT_CANDIDATE_CAP,
-        help="abort eigenvalue queries beyond this many lattice candidates",
-    )
     return common
 
 
@@ -76,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--k-max", type=int, default=None)
     op.add_argument("--dyadic", action="store_true",
                     help="powers of two between k-min and k-max")
+    op.add_argument("--threads", type=int, default=1, help="worker processes")
     op.add_argument("--grid", type=int, default=64, help="coarse grid resolution")
     op.add_argument("--basins", type=int, default=8)
     op.add_argument("--max-iter", type=int, default=500)
@@ -85,7 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--suite", required=True, choices=suites.SUITE_NAMES + ("all",))
     vp.add_argument("--samples", type=int, default=1000,
                     help="sample count (k range for cube-chain)")
+    vp.add_argument("--seed", type=int, default=0, help="sampling seed")
 
+    for p in (sp, op):
+        p.add_argument("--candidate-cap", type=int, default=DEFAULT_CANDIDATE_CAP,
+                       help="abort an eigenvalue query whose band holds more lattice candidates")
     return parser
 
 
@@ -178,7 +176,6 @@ def cmd_optimize(args) -> int:
         basins=args.basins,
         max_iter=args.max_iter,
         side_tol=args.side_tol,
-        seed=args.seed,
         candidate_cap=args.candidate_cap,
         threads=args.threads,
     )
@@ -195,6 +192,10 @@ def cmd_optimize(args) -> int:
         max_a3 = max(r.cuboid.a3 for r in good)
         min_a1 = min(r.cuboid.a1 for r in good)
         summary = f"summary: {len(good)}/{len(records)} ok, max a3*={max_a3:.6g}, min a1*={min_a1:.6g}"
+        k_lo, k_hi = min(r.k for r in good), max(r.k for r in good)
+        bottom = statistics.median(r.delta for r in good if r.k <= 10 * k_lo)
+        top = statistics.median(r.delta for r in good if r.k >= k_hi / 10)
+        summary += f", bottom-decade median delta={bottom:.6g}, top-decade median delta={top:.6g}"
         try:
             exponent, info = rate_fit(good)
             summary += f", fitted exponent={exponent:.4g} (reference {info.reference_exponent:.4g})"

@@ -10,6 +10,7 @@ so the only hard constraint is the lower bound on the shortest side.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -59,7 +60,6 @@ class OptimizerConfig:
     basins: int = 8
     max_iter: int = 500
     side_tol: float = 1e-9
-    seed: int = 0
     candidate_cap: int = DEFAULT_CANDIDATE_CAP
     threads: int = 1
 
@@ -261,11 +261,23 @@ def _sweep_one(args: tuple[int, OptimizerConfig]) -> OptimalRecord:
         )
 
 
+def _pool_size(threads: int, n_jobs: int) -> int:
+    """Worker processes for a sweep of ``n_jobs`` k values.
+
+    A fork-started pool starts every worker up front, so the count never
+    exceeds the number of jobs or of CPUs.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return min(threads, n_jobs, os.cpu_count() or 1)
+
+
 def sweep(k_set, config: OptimizerConfig = OptimizerConfig()) -> list[OptimalRecord]:
     """One record per k, in input order; per-k failures are isolated.
 
-    With ``config.threads > 1`` the k values run in worker processes; results
-    are reduced in input order, so output is independent of the worker count.
+    With ``config.threads > 1`` the k values run in worker processes, largest
+    k first so that the longest job does not start last; results are placed
+    back in input order, so output is independent of the worker count.
     """
     ks = [int(k) for k in k_set]
     if not ks:
@@ -273,10 +285,13 @@ def sweep(k_set, config: OptimizerConfig = OptimizerConfig()) -> list[OptimalRec
     if any(k < 1 for k in ks):
         raise ValueError(f"all k must be >= 1, got {ks}")
     jobs = [(k, replace(config, threads=1)) for k in ks]
-    if config.threads > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(_sweep_one, jobs))
-    return [_sweep_one(job) for job in jobs]
+    workers = _pool_size(config.threads, len(ks))
+    if workers == 1:
+        return [_sweep_one(job) for job in jobs]
+    order = sorted(range(len(ks)), key=lambda i: -ks[i])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        done = dict(zip(order, pool.map(_sweep_one, [jobs[i] for i in order])))
+    return [done[i] for i in range(len(ks))]
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,18 @@
 
 The eigenvalues of a box with sides ``(a1, a2, a3)`` are
 ``pi^2 * (i1^2/a1^2 + i2^2/a2^2 + i3^2/a3^2)`` over positive integer triples,
-so every spectral query here reduces to counting lattice points inside an
-ellipsoid octant.  Membership is decided by one canonical floating-point
-predicate (inclusive at the boundary, relative tolerance ``COUNT_EPS``) that
-all counters in the package share; the unit cube takes a pure integer path
-that is exactly equivalent to that predicate.
+so every spectral query here reduces to lattice points inside an ellipsoid
+octant.  Membership is decided by one canonical floating-point predicate
+(inclusive at the boundary, relative tolerance ``COUNT_EPS``) that all
+counters in the package share.
+
+``count_upto`` counts the octant; on the unit cube it takes a pure integer
+path that is exactly equivalent to the predicate.  ``kth_eigenvalue`` and
+``spectrum_points`` walk it through one band kernel, which returns the
+eigenvalues in a band (lo, hi] with their index triples.  The band sits
+around the two-term Weyl guess for lambda_k (from 0 for a spectrum) and
+widens until it holds the k-th eigenvalue and its ``DEGENERACY_RTOL``
+window; ``candidate_cap`` bounds how many points the band may hold.
 """
 
 from __future__ import annotations
@@ -32,8 +39,12 @@ DEGENERACY_RTOL = 1e-9
 # from unit volume.
 VOLUME_TOL = 1e-12
 
-# Default ceiling on the number of enumerated candidate eigenvalues.
-DEFAULT_CANDIDATE_CAP = 50_000_000
+# Default ceiling on the number of candidates one eigenvalue band may hold.
+# A band candidate peaks at 49 B while the band is built (a float64 value,
+# three int64 indices and their temporaries; tracemalloc, K = 2M on the box
+# (0.7, 0.9)), so 24M candidates take at most 24M x 49 B = 1.18 GB, within
+# the 50M x 23.9 B = 1.20 GB of a former cap of 50M bare values.
+DEFAULT_CANDIDATE_CAP = 24_000_000
 
 # Below this slice width the scalar inner loop beats numpy dispatch.
 _VECTOR_MIN = 24
@@ -213,31 +224,65 @@ def _octant_count(inv: tuple[float, float, float], lam_eff: float) -> int:
     return total
 
 
-def _octant_values(inv: tuple[float, float, float], lam_eff: float) -> np.ndarray:
-    """Eigenvalues of every octant point inside the ellipsoid, unsorted."""
+def _octant_band(
+    inv: tuple[float, float, float], lo_eff: float, hi_eff: float, cap: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """One walk over the octant for the band (lo_eff, hi_eff].
+
+    Returns the number of points with eigenvalue <= ``lo_eff``, and the
+    eigenvalues (unsorted) and (i1, i2, i3) rows of the points in the band.
+    Each value is computed with the float64 operations of the membership
+    predicate, in the same order, so it is the number the counters compare.
+    Raises :class:`ResourceLimitError` as soon as the slices counted so far
+    put more than ``cap`` points in the band, before any point array exists.
+    """
     q1, q2, q3 = inv
-    chunks = []
+    below = 0
+    size = 0
+    tops, floors = [], []
     i1 = 1
     while True:
         c1 = float(i1 * i1) * q1
-        g = _slice_third_counts(c1, q2, q3, lam_eff)
-        total = int(g.sum())
-        if total == 0:
+        top = _slice_third_counts(c1, q2, q3, hi_eff)
+        n_top = int(top.sum())
+        if n_top == 0:
             break
-        nz = g > 0
-        reps = g[nz]
-        i2 = np.nonzero(nz)[0] + 1
-        t2 = i2.astype(np.float64)
-        c12 = np.repeat(c1 + (t2 * t2) * q2, reps)
-        starts = np.concatenate(([0], np.cumsum(reps)[:-1]))
-        i3 = (np.arange(total, dtype=np.int64) - np.repeat(starts, reps) + 1).astype(
-            np.float64
-        )
-        chunks.append(PI_SQUARED * (c12 + (i3 * i3) * q3))
+        floor = np.zeros_like(top)
+        if PI_SQUARED * (c1 + q2 + q3) <= lo_eff:
+            g = _slice_third_counts(c1, q2, q3, lo_eff)[: len(top)]
+            floor[: len(g)] = g
+        n_floor = int(floor.sum())
+        below += n_floor
+        size += n_top - n_floor
+        if size > cap:
+            raise ResourceLimitError(
+                f"band ({lo_eff:.6g}, {hi_eff:.6g}] holds more than "
+                f"{cap} candidates (the candidate cap)"
+            )
+        tops.append(top)
+        floors.append(floor)
         i1 += 1
-    if not chunks:
-        return np.empty(0, dtype=np.float64)
-    return np.concatenate(chunks)
+    if not tops:
+        return below, np.empty(0), np.empty((0, 3), dtype=np.int64)
+    # One entry per (i1, i2) column; column j holds i3 = floor[j]+1 .. top[j].
+    lengths = [len(t) for t in tops]
+    offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    i1 = np.repeat(np.arange(1, len(tops) + 1, dtype=np.int64), lengths)
+    i2 = np.arange(len(offsets), dtype=np.int64) - offsets + 1
+    floor = np.concatenate(floors)
+    reps = np.concatenate(tops) - floor
+    nz = reps > 0
+    i1, i2, floor, reps = i1[nz], i2[nz], floor[nz], reps[nz]
+    t1 = i1.astype(np.float64)
+    t2 = i2.astype(np.float64)
+    c12 = np.repeat((t1 * t1) * q1 + (t2 * t2) * q2, reps)
+    rows = np.empty((size, 3), dtype=np.int64)
+    rows[:, 0] = np.repeat(i1, reps)
+    rows[:, 1] = np.repeat(i2, reps)
+    rows[:, 2] = np.arange(size, dtype=np.int64)
+    rows[:, 2] += np.repeat(floor + 1 - (np.cumsum(reps) - reps), reps)
+    t3 = rows[:, 2].astype(np.float64)
+    return below, PI_SQUARED * (c12 + (t3 * t3) * q3), rows
 
 
 # Integer path for the unit cube: the predicate reduces exactly to
@@ -293,37 +338,63 @@ def count_upto(cuboid: Cuboid, lam: float) -> int:
     return _octant_count(cuboid.inv_sq, lam_eff)
 
 
-def _cluster_indices(cuboid: Cuboid, value: float) -> tuple[tuple[int, int, int], ...]:
-    """All positive triples whose eigenvalue is within DEGENERACY_RTOL of value."""
-    lo = value * (1.0 - DEGENERACY_RTOL)
-    hi = value * (1.0 + DEGENERACY_RTOL)
-    q1, q2, q3 = cuboid.inv_sq
-    found = []
-    i1 = 1
+def _weyl_guess(cuboid: Cuboid, k: int) -> float:
+    """The lambda at which the two-term Weyl law lambda^(3/2)/(6 pi^2) -
+    S lambda/(16 pi), S the surface area, reaches k.
+
+    Newton's method in x = sqrt(lambda) on the cubic, started at a point above
+    its only positive root where the cubic is convex, descends to the root.
+    """
+    a1, a2, a3 = cuboid.sides
+    s = 2.0 * (a1 * a2 + a1 * a3 + a2 * a3)
+    x = (6.0 * PI_SQUARED * k) ** (1.0 / 3.0) + 3.0 * PI * s / 8.0
     while True:
-        c1 = float(i1 * i1) * q1
-        if PI_SQUARED * (c1 + q2 + q3) > hi:
-            break
-        i2 = 1
-        while True:
-            c12 = c1 + float(i2 * i2) * q2
-            if PI_SQUARED * (c12 + q3) > hi:
-                break
-            top = _nmax_scalar(c12, q3, hi)
-            for i3 in range(1, top + 1):
-                eig = PI_SQUARED * (c12 + float(i3 * i3) * q3)
-                if eig >= lo:
-                    found.append((i1, i2, i3))
-            i2 += 1
-        i1 += 1
-    return tuple(sorted(found))
+        step = (x**3 / (6.0 * PI_SQUARED) - s * x * x / (16.0 * PI) - k) / (
+            x * x / (2.0 * PI_SQUARED) - s * x / (8.0 * PI)
+        )
+        x -= step
+        if step <= 1e-12 * x:
+            return x * x
 
 
-def _search_ceiling(cuboid: Cuboid, k: int) -> float:
-    lam = min(cube_upper_bound(k), 4.0 * (6.0 * PI_SQUARED * k) ** (2.0 / 3.0))
-    while count_upto(cuboid, lam) < k:
-        lam *= 2.0
-    return lam
+def _sorted_band(
+    cuboid: Cuboid, k: int, cap: int, from_zero: bool
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """A band around the Weyl guess for the k-th eigenvalue.
+
+    Each side of the band widens until the band holds the k-th eigenvalue and
+    its whole DEGENERACY_RTOL window; with ``from_zero`` the band starts at 0.
+    Returns the count of eigenvalues below the band, the band's values sorted,
+    its index rows in kernel order, and the order that sorts them.
+    """
+    guess = _weyl_guess(cuboid, k)
+    # The guess's relative error shrinks like k^(-1/3).  Capped at 1, the margin
+    # holds 9k points at k = 1 on the thinnest domain box (27k uncapped).
+    down = up = min(2.0 * k ** (-1.0 / 3.0), 1.0)
+    while True:
+        lo = 0.0 if from_zero else max(guess * (1.0 - down), 0.0)
+        hi = guess * (1.0 + up)
+        below, values, rows = _octant_band(cuboid.inv_sq, lo, hi, cap)
+        order = np.argsort(values)
+        values = values[order]
+        j = k - 1 - below
+        if j < 0 or (j < len(values) and values[j] * (1.0 - DEGENERACY_RTOL) <= lo):
+            down *= 2.0
+        elif j >= len(values) or values[j] * (1.0 + DEGENERACY_RTOL) > hi:
+            up *= 2.0
+        else:
+            return below, values, rows, order
+
+
+def _point(
+    values: np.ndarray, rows: np.ndarray, order: np.ndarray, at: int
+) -> tuple[SpectralPoint, int]:
+    """The spectral point of ``values[at]`` and the end of its window."""
+    value = float(values[at])
+    start = int(np.searchsorted(values, value * (1.0 - DEGENERACY_RTOL), side="left"))
+    stop = int(np.searchsorted(values, value * (1.0 + DEGENERACY_RTOL), side="right"))
+    indices = tuple(sorted(map(tuple, rows[order[start:stop]].tolist())))
+    return SpectralPoint(value=value, indices=indices), stop
 
 
 def kth_eigenvalue(
@@ -331,30 +402,16 @@ def kth_eigenvalue(
 ) -> SpectralPoint:
     """The k-th eigenvalue (1-based, with multiplicity) of ``cuboid``.
 
-    Enumerates every candidate eigenvalue below a doubling search ceiling and
-    selects the k-th by partial sort.  Raises :class:`ResourceLimitError` when
-    the enumeration would exceed ``candidate_cap`` candidates, which guards
-    against pathologically thin boxes.
+    Enumerates the eigenvalues in a band around the two-term Weyl guess,
+    widened until it holds the k-th, and selects it with every lattice triple
+    within DEGENERACY_RTOL.  Raises :class:`ResourceLimitError` when the band
+    would hold more than ``candidate_cap`` candidates, which guards against
+    pathologically thin boxes.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    lam = _search_ceiling(cuboid, k)
-    n_candidates = count_upto(cuboid, lam)
-    if n_candidates > candidate_cap:
-        raise ResourceLimitError(
-            f"{n_candidates} candidates exceed cap {candidate_cap} "
-            f"for k={k} on {cuboid.sides}"
-        )
-    lam_eff = lam * (1.0 + COUNT_EPS)
-    if cuboid.is_cube:
-        hist = _cube_octant_hist(_cube_cutoff(lam_eff))
-        cum = np.cumsum(hist)
-        s = int(np.searchsorted(cum, k))
-        value = PI_SQUARED * float(s)
-    else:
-        values = _octant_values(cuboid.inv_sq, lam_eff)
-        value = float(np.partition(values, k - 1)[k - 1])
-    return SpectralPoint(value=value, indices=_cluster_indices(cuboid, value))
+    below, values, rows, order = _sorted_band(cuboid, k, candidate_cap, from_zero=False)
+    return _point(values, rows, order, k - 1 - below)[0]
 
 
 def spectrum_points(
@@ -363,42 +420,17 @@ def spectrum_points(
     """Distinct spectral points covering eigenvalues 1..k_max.
 
     Points are sorted ascending; their multiplicities sum to at least
-    ``k_max``.  Near-degenerate values merge per ``DEGENERACY_RTOL``.
+    ``k_max``.  Near-degenerate values merge per ``DEGENERACY_RTOL``: each
+    point starts at the lowest value not yet covered.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    lam = _search_ceiling(cuboid, k_max)
-    n_candidates = count_upto(cuboid, lam)
-    if n_candidates > candidate_cap:
-        raise ResourceLimitError(
-            f"{n_candidates} candidates exceed cap {candidate_cap}"
-        )
-    lam_eff = lam * (1.0 + COUNT_EPS)
-    if cuboid.is_cube:
-        hist = _cube_octant_hist(_cube_cutoff(lam_eff))
-        cum = np.cumsum(hist)
-        points = []
-        covered = 0
-        for s in np.nonzero(hist)[0]:
-            if covered >= k_max:
-                break
-            value = PI_SQUARED * float(s)
-            points.append(
-                SpectralPoint(value=value, indices=_cluster_indices(cuboid, value))
-            )
-            covered = int(cum[s])
-        return points
-    values = np.sort(_octant_values(cuboid.inv_sq, lam_eff))
+    _, values, rows, order = _sorted_band(cuboid, k_max, candidate_cap, from_zero=True)
     points = []
     covered = 0
     while covered < k_max:
-        value = float(values[covered])
-        indices = _cluster_indices(cuboid, value)
-        points.append(SpectralPoint(value=value, indices=indices))
-        # advance past every candidate inside this cluster's window
-        covered = int(
-            np.searchsorted(values, value * (1.0 + DEGENERACY_RTOL), side="right")
-        )
+        point, covered = _point(values, rows, order, covered)
+        points.append(point)
     return points
 
 

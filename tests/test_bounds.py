@@ -235,12 +235,12 @@ class TestPolyaOnBoxes:
         # enumerate each box's first 1000 eigenvalues once, compare elementwise
         import numpy as np
 
-        from eigenbox.spectrum import COUNT_EPS, _octant_values, _search_ceiling
+        from eigenbox.spectrum import spectrum_points
 
         bounds = np.array([polya_lower_bound(k) for k in range(1, 1001)])
         for c in cuboid_pool:
-            lam = _search_ceiling(c, 1000)
-            values = np.sort(_octant_values(c.inv_sq, lam * (1.0 + COUNT_EPS)))[:1000]
+            points = spectrum_points(c, 1000)
+            values = np.repeat([p.value for p in points], [p.multiplicity for p in points])[:1000]
             assert (values >= bounds - 1e-9 * bounds).all()
 
 

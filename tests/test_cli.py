@@ -1,11 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from eigenbox.cli import main
 
 PI2 = math.pi**2
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -51,6 +54,20 @@ class TestSpectrumCommand:
         )
         assert code == 3
         assert "cap" in err
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("spectrum_0.7_0.9_k500.csv", ["--a1", "0.7", "--a2", "0.9", "--k", "500"]),
+            ("spectrum_cube_k200.csv", ["--a1", "1", "--a2", "1", "--k", "200"]),
+            ("spectrum_cube_k200.json",
+             ["--a1", "1", "--a2", "1", "--k", "200", "--format", "json"]),
+        ],
+    )
+    def test_golden_bytes(self, capsys, golden, argv):
+        code, out, _ = run(capsys, "spectrum", *argv)
+        assert code == 0
+        assert out.encode() == (GOLDEN / golden).read_bytes()
 
     def test_json_format(self, capsys):
         code, out, _ = run(
@@ -121,6 +138,16 @@ class TestOptimizeCommand:
     def test_bad_tolerance(self, capsys):
         code, _, _ = run(capsys, "optimize", "--k", "1", "--side-tol", "1e-20")
         assert code == 2
+
+    def test_seed_is_not_an_optimize_flag(self, capsys):
+        code, _, _ = run(capsys, "optimize", "--k", "8", "--seed", "1")
+        assert code == 2
+
+    def test_threads_below_one(self, capsys):
+        for threads in ("0", "-1"):
+            code, _, err = run(capsys, "optimize", "--k", "1", "--threads", threads)
+            assert code == 2
+            assert "threads must be >= 1" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(

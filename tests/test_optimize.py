@@ -1,5 +1,6 @@
 import io
 import math
+import os
 
 import pytest
 
@@ -10,6 +11,7 @@ from eigenbox.optimize import (
     OptimizerConfig,
     SearchBox,
     objective,
+    _pool_size,
     optimize_k,
     rate_fit,
     sweep,
@@ -128,6 +130,28 @@ class TestSweep:
         assert [r.k for r in records] == [1, 2]
         assert all(r.cuboid is None for r in records)
         assert all(r.status.startswith("failed:") for r in records)
+
+    def test_shuffled_ks_keep_input_order(self):
+        ks = [3, 1, 4, 2]
+        serial = sweep(ks, FAST)
+        parallel = sweep(ks, OptimizerConfig(
+            grid_n=24, basins=4, max_iter=200, threads=2,
+        ))
+        assert [r.k for r in parallel] == ks
+        buf_a, buf_b = io.StringIO(), io.StringIO()
+        write_optimize_csv(buf_a, serial)
+        write_optimize_csv(buf_b, parallel)
+        assert buf_a.getvalue() == buf_b.getvalue()
+
+    def test_pool_size_is_clamped(self):
+        # computed only: no pool is started for the large request
+        cpus = os.cpu_count() or 1
+        assert _pool_size(10**6, 3) == min(3, cpus)
+        assert _pool_size(10**6, 10**6) == cpus
+        assert _pool_size(1, 50) == 1
+        for bad in (0, -4):
+            with pytest.raises(ValueError):
+                _pool_size(bad, 3)
 
     def test_thread_count_does_not_change_bytes(self):
         serial = sweep([1, 2, 3], FAST)

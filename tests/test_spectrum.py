@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from eigenbox.bounds import a1_lower_bound
 from eigenbox.spectrum import (
     COUNT_EPS,
+    DEGENERACY_RTOL,
     PI_SQUARED,
     Cuboid,
     EllipsoidSpec,
@@ -63,6 +65,41 @@ def brute_sorted_eigenvalues(cuboid, k):
         if len(vals) >= k:
             return sorted(vals)[:k]
         lam *= 2.0
+
+
+def brute_kth_point(cuboid, k):
+    """The k-th eigenvalue and the sorted triples within DEGENERACY_RTOL of it.
+
+    Scalar enumeration below a doubling ceiling; the index loops stop at the
+    ceiling, so thin boxes get their long index runs.
+    """
+    lam = eigenvalue_of_index(cuboid, 1, 1, 1)
+    while True:
+        found = []
+        i1 = 1
+        while eigenvalue_of_index(cuboid, i1, 1, 1) <= lam:
+            i2 = 1
+            while eigenvalue_of_index(cuboid, i1, i2, 1) <= lam:
+                i3 = 1
+                while (v := eigenvalue_of_index(cuboid, i1, i2, i3)) <= lam:
+                    found.append((v, (i1, i2, i3)))
+                    i3 += 1
+                i2 += 1
+            i1 += 1
+        values = sorted(v for v, _ in found)
+        if len(values) >= k and values[k - 1] * (1.0 + DEGENERACY_RTOL) <= lam:
+            value = values[k - 1]
+            lo, hi = value * (1.0 - DEGENERACY_RTOL), value * (1.0 + DEGENERACY_RTOL)
+            return value, tuple(sorted(idx for v, idx in found if lo <= v <= hi))
+        lam *= 2.0
+
+
+@st.composite
+def domain_cuboids(draw):
+    """Boxes of the optimiser's search domain a1 <= a2 <= a3."""
+    a1 = draw(st.floats(a1_lower_bound(), 1.0))
+    a2 = draw(st.floats(a1, math.sqrt(1.0 / a1)))
+    return Cuboid.from_sides(a1, a2)
 
 
 class TestCuboid:
@@ -201,6 +238,21 @@ class TestKthEigenvalue:
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
             kth_eigenvalue(Cuboid.from_sides(0.9, 1.0), 2000, candidate_cap=100)
+        # a thin box: the cap stops the first slice, before any band array
+        with pytest.raises(ResourceLimitError):
+            kth_eigenvalue(Cuboid.from_sides(1e-3, 1.0), 1, candidate_cap=100_000)
+
+    @given(cuboid=domain_cuboids(), k=st.integers(1, 300))
+    @example(cuboid=UNIT_CUBE, k=2)
+    @example(cuboid=UNIT_CUBE, k=300)
+    @example(cuboid=Cuboid.from_sides(0.5, 1.0), k=5)
+    @example(cuboid=Cuboid.from_sides(0.5, 1.0), k=250)
+    @settings(max_examples=60)
+    def test_equals_scalar_brute_force_exactly(self, cuboid, k):
+        value, indices = brute_kth_point(cuboid, k)
+        p = kth_eigenvalue(cuboid, k)
+        assert p.value == value
+        assert p.indices == indices
 
     def test_matches_brute_force(self, cuboid_pool):
         for c in cuboid_pool:
