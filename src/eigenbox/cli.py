@@ -7,8 +7,6 @@ codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap.
 from __future__ import annotations
 
 import argparse
-import io
-import math
 import statistics
 import sys
 
@@ -37,19 +35,14 @@ EXIT_RESOURCE = 3
 _MIN_TOL = sys.float_info.epsilon * 1e3
 
 
-def _common_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json"), default=None)
-    common.add_argument("--out", default=None, help="output file (default: stdout)")
-    return common
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eigenbox",
         description="Dirichlet eigenvalues of unit-volume boxes by lattice counting",
     )
-    common = _common_parser()
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("csv", "json"), default=None)
+    common.add_argument("--out", default=None, help="output file (default: stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", parents=[common], help="list eigenvalues of a box")
@@ -87,7 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, table: reporting.Table, records, default: str = "csv") -> None:
+    """Write ``records`` in the chosen format to --out or stdout."""
+    if (args.format or default) == "json":
+        text = table.json(records) + "\n"
+    else:
+        text = table.csv(records)
     if args.out:
         with open(args.out, "w", newline="") as handle:
             handle.write(text)
@@ -96,43 +94,16 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_spectrum(args) -> int:
-    if args.a1 <= 0 or args.a2 <= 0:
-        print("error: sides must be positive", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if args.k < 1:
-        print("error: k must be >= 1", file=sys.stderr)
-        return EXIT_BAD_INPUT
     cuboid = Cuboid.from_sides(args.a1, args.a2)
-    try:
-        points = spectrum_points(cuboid, args.k, candidate_cap=args.candidate_cap)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    fmt = args.format or "csv"
-    if fmt == "json":
-        _emit(args, reporting.spectrum_json(points, args.k, cuboid.is_cube) + "\n")
-    else:
-        out = io.StringIO()
-        rows = reporting.spectrum_rows(points, args.k, cuboid.is_cube)
-        reporting.write_csv(out, reporting.SPECTRUM_COLUMNS, rows)
-        _emit(args, out.getvalue())
+    points = spectrum_points(cuboid, args.k, candidate_cap=args.candidate_cap)
+    _emit(args, reporting.SPECTRUM, reporting.spectrum_records(points, args.k, cuboid.is_cube))
     return EXIT_OK
 
 
 def cmd_count(args) -> int:
-    if args.a1 <= 0 or args.a2 <= 0:
-        print("error: sides must be positive", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if args.lam < 0 or not math.isfinite(args.lam):
-        print("error: lambda must be finite and >= 0", file=sys.stderr)
-        return EXIT_BAD_INPUT
     cuboid = Cuboid.from_sides(args.a1, args.a2)
     bundle = lattice.count_bundle(cuboid, args.lam)
-    fmt = args.format or "json"
-    if fmt == "json":
-        _emit(args, reporting.bundle_json(cuboid, bundle) + "\n")
-    else:
-        _emit(args, reporting.bundle_csv(cuboid, bundle))
+    _emit(args, reporting.COUNT, [(cuboid, bundle)], default="json")
     if not bundle.consistent():
         print("error: counting identity violated", file=sys.stderr)
         return EXIT_VERIFY_FAIL
@@ -149,13 +120,7 @@ def _optimize_ks(args) -> list[int] | None:
     if args.k_min < 1 or args.k_max < args.k_min:
         return None
     if args.dyadic:
-        ks = []
-        k = 1
-        while k < args.k_min:
-            k *= 2
-        while k <= args.k_max:
-            ks.append(k)
-            k *= 2
+        ks = [1 << e for e in range(args.k_max.bit_length()) if 1 << e >= args.k_min]
         return ks or None
     return list(range(args.k_min, args.k_max + 1))
 
@@ -180,13 +145,7 @@ def cmd_optimize(args) -> int:
         threads=args.threads,
     )
     records = sweep(ks, config)
-    fmt = args.format or "csv"
-    if fmt == "json":
-        _emit(args, reporting.optimize_records_json(records) + "\n")
-    else:
-        out = io.StringIO()
-        reporting.write_optimize_csv(out, records)
-        _emit(args, out.getvalue())
+    _emit(args, reporting.OPTIMIZE, records)
     good = [r for r in records if r.cuboid is not None]
     if good:
         max_a3 = max(r.cuboid.a3 for r in good)
@@ -219,13 +178,7 @@ def cmd_verify(args) -> int:
     for name in names:
         reports.extend(suites.run_suite(name, args.samples, args.seed))
         print(f"suite {name}: {args.samples} samples done", file=sys.stderr)
-    fmt = args.format or "csv"
-    if fmt == "json":
-        _emit(args, reporting.verify_reports_json(reports) + "\n")
-    else:
-        out = io.StringIO()
-        reporting.write_verify_csv(out, reports)
-        _emit(args, out.getvalue())
+    _emit(args, reporting.VERIFY, reports)
     lam_grid = np.linspace(50.0, 5000.0, 40)
     estimates = suites.remainder_constant_estimates(Cuboid(1.0, 1.0, 1.0), lam_grid)
     print(
@@ -247,22 +200,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_BAD_INPUT
+    command = {"spectrum": cmd_spectrum, "count": cmd_count,
+               "optimize": cmd_optimize, "verify": cmd_verify}[args.command]
     try:
-        if args.command == "spectrum":
-            return cmd_spectrum(args)
-        if args.command == "count":
-            return cmd_count(args)
-        if args.command == "optimize":
-            return cmd_optimize(args)
-        if args.command == "verify":
-            return cmd_verify(args)
+        return command(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def entrypoint() -> None:

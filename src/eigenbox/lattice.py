@@ -20,8 +20,11 @@ import numpy as np
 
 from .spectrum import (
     COUNT_EPS,
+    DEFAULT_CANDIDATE_CAP,
+    PI,
     PI_SQUARED,
     Cuboid,
+    ResourceLimitError,
     _cube_cutoff,
     _nmax_scalar,
     _nmax_vec,
@@ -108,9 +111,20 @@ def _axis_pairs(inv: tuple[float, float, float], axis: int) -> tuple[float, floa
     raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
 
 
-def _check_lambda(lam: float) -> float:
+def _check_lambda(lam: float, full_lattice: Cuboid | None = None) -> float:
+    """lam with the counting tolerance; for a full-lattice count on a box,
+    refuses more (x1, x2) columns, about (a1 r + 1)(a2 r + 1) for
+    r = sqrt(lam)/pi, than DEFAULT_CANDIDATE_CAP."""
     if lam < 0.0 or not math.isfinite(lam):
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    if full_lattice is not None:
+        r = math.sqrt(lam) / PI
+        columns = (full_lattice.a1 * r + 1.0) * (full_lattice.a2 * r + 1.0)
+        if columns > DEFAULT_CANDIDATE_CAP:
+            raise ResourceLimitError(
+                f"counting at lambda={lam:.6g} visits about {columns:.3g} columns, "
+                f"more than the candidate cap {DEFAULT_CANDIDATE_CAP}"
+            )
     return lam * (1.0 + COUNT_EPS)
 
 
@@ -145,7 +159,7 @@ def _quadrant_points_m(m: int) -> int:
 
 def count_full(cuboid: Cuboid, lam: float) -> int:
     """Integer lattice points (all signs and zeros) in the closed E(lam)."""
-    lam_eff = _check_lambda(lam)
+    lam_eff = _check_lambda(lam, full_lattice=cuboid)
     if cuboid.is_cube:
         return _sphere_points_m(_cube_cutoff(lam_eff))
     q1, q2, q3 = cuboid.inv_sq
@@ -202,7 +216,7 @@ def _axis_count(q: float, lam_eff: float) -> int:
 
 def count_bundle(cuboid: Cuboid, lam: float) -> CountBundle:
     """All counting quantities at ``lam``; fields are mutually consistent."""
-    lam_eff = _check_lambda(lam)
+    lam_eff = _check_lambda(lam, full_lattice=cuboid)
     n = count_upto(cuboid, lam)
     if cuboid.is_cube:
         m = _cube_cutoff(lam_eff)

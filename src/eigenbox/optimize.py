@@ -106,8 +106,6 @@ class _Objective:
         self.evaluations = 0
 
     def __call__(self, a1: float, a2: float) -> float:
-        if not (a1 > 0.0 and a2 > 0.0 and math.isfinite(a1) and math.isfinite(a2)):
-            return math.inf
         try:
             c = Cuboid.from_sides(a1, a2)
         except ValueError:

@@ -1,9 +1,13 @@
 """Stable CSV/JSON serialisation for records and reports.
 
-Every file starts with a schema_version field.  Floats are written with 17
-significant digits, so a written value re-parses to the identical bits;
-writers emit rows in a fixed order with a fixed line terminator, which makes
-output byte-identical across runs and worker counts.
+Each record type has one field table, and both formats derive from it.  A
+table entry is (CSV column, JSON key, getter returning a typed value).  One
+cell rule turns a typed value into a CSV cell; floats get 17 significant
+digits, so a written value re-parses to the identical bits.  One JSON rule
+turns a NaN float into null.  The writers put ``schema_version`` first in
+every CSV row and at the top of every JSON document, and emit rows in a fixed
+order with a fixed line terminator, which makes output byte-identical across
+runs and worker counts.
 """
 
 from __future__ import annotations
@@ -11,47 +15,22 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Iterable
+import math
+from dataclasses import dataclass
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Iterable, get_type_hints
 
-from .bounds import BoundReport
+import numpy as np
+
 from .lattice import CountBundle
 from .optimize import OptimalRecord
-from .spectrum import Cuboid, SpectralPoint
+from .spectrum import PI_SQUARED, Cuboid, SpectralPoint
 
 SCHEMA_VERSION = 1
-
-OPTIMIZE_COLUMNS = [
-    "schema_version",
-    "k",
-    "a1",
-    "a2",
-    "a3",
-    "lambda_star",
-    "delta",
-    "evaluations",
-    "restarts_agreeing",
-    "unique_within_tol",
-    "status",
-]
-
-VERIFY_COLUMNS = ["schema_version", "suite", "input_repr", "lhs", "rhs", "slack", "pass"]
-
-SPECTRUM_COLUMNS = [
-    "schema_version",
-    "k",
-    "lambda",
-    "lambda_over_pi2",
-    "multiplicity",
-    "indices",
-]
 
 
 def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def fmt_bool(x: bool) -> str:
-    return "true" if x else "false"
 
 
 def parse_bool(s: str) -> bool:
@@ -62,242 +41,167 @@ def parse_bool(s: str) -> bool:
     raise ValueError(f"not a serialised bool: {s!r}")
 
 
+def _cell(value: Any) -> str:
+    """The CSV cell of a typed value; a type without a rule is written by str."""
+    return _CELL_RULES.get(type(value), str)(value)
+
+
+_CELL_RULES = {
+    float: fmt_float,
+    np.float64: fmt_float,
+    bool: lambda flag: "true" if flag else "false",
+    # a report's inputs
+    dict: lambda inputs: ";".join([f"{key}={_cell(v)}" for key, v in inputs.items()]),
+    # lattice index triples
+    tuple: lambda indices: ";".join(["%s,%s,%s" % t for t in indices]),
+}
+_CELL_RULES[np.bool_] = _CELL_RULES[bool]
+
+
+def _json_value(value: Any) -> Any:
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
 def write_csv(stream, columns: list[str], rows: Iterable[list[str]]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows(rows)
 
 
-def input_repr(inputs: dict) -> str:
-    parts = []
-    for key, value in inputs.items():
-        if isinstance(value, bool):
-            parts.append(f"{key}={fmt_bool(value)}")
-        elif isinstance(value, float):
-            parts.append(f"{key}={fmt_float(value)}")
+def _field(column: str, get: Callable[[Any], Any] | str | None = None, key: str | None = None):
+    """A table entry; a getter given as a name, or none, reads that attribute."""
+    return (column, key or column, get if callable(get) else attrgetter(get or column))
+
+
+@dataclass(frozen=True)
+class Table:
+    """The fields of one record type, and the JSON key of its record list.
+
+    ``top`` is None for a document that holds one record at its top level.
+    A ``range`` in the first field stands for consecutive rows that share
+    every other field; the spectrum numbers its eigenvalues that way.
+    """
+
+    top: str | None
+    fields: tuple
+
+    @property
+    def columns(self) -> list[str]:
+        return ["schema_version", *(column for column, _, _ in self.fields)]
+
+    def write_csv(self, stream, records: Iterable) -> None:
+        write_csv(stream, self.columns, self._rows(records))
+
+    def _rows(self, records: Iterable) -> Iterable[list[str]]:
+        schema = str(SCHEMA_VERSION)
+        first, *rest = (get for _, _, get in self.fields)
+        for record in records:
+            cells = [_cell(get(record)) for get in rest]  # once per record
+            ks = first(record)
+            for k in map(str, ks) if isinstance(ks, range) else [_cell(ks)]:
+                yield [schema, k, *cells]
+
+    def csv(self, records: Iterable) -> str:
+        out = io.StringIO()
+        self.write_csv(out, records)
+        return out.getvalue()
+
+    def json(self, records: Iterable) -> str:
+        (_, first_key, first), *rest = self.fields
+        entries = []
+        for record in records:
+            shared = {key: _json_value(get(record)) for _, key, get in rest}
+            ks = first(record)
+            for k in ks if isinstance(ks, range) else [_json_value(ks)]:
+                entries.append({first_key: k, **shared})
+        if self.top is None:
+            (payload,) = entries
         else:
-            parts.append(f"{key}={value}")
-    return ";".join(parts)
+            payload = {self.top: entries}
+        return json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2)
 
 
-def optimize_row(record: OptimalRecord) -> list[str]:
-    c = record.cuboid
-    sides = (c.a1, c.a2, c.a3) if c is not None else (float("nan"),) * 3
-    return [
-        str(SCHEMA_VERSION),
-        str(record.k),
-        fmt_float(sides[0]),
-        fmt_float(sides[1]),
-        fmt_float(sides[2]),
-        fmt_float(record.lambda_star),
-        fmt_float(record.delta),
-        str(record.evaluations),
-        str(record.restarts_agreeing),
-        fmt_bool(record.unique_within_tol),
-        record.status,
-    ]
+def _side(i: int) -> Callable[[OptimalRecord], float]:
+    return lambda r: r.cuboid.sides[i] if r.cuboid is not None else math.nan
 
 
-def write_optimize_csv(stream, records: Iterable[OptimalRecord]) -> None:
-    write_csv(stream, OPTIMIZE_COLUMNS, [optimize_row(r) for r in records])
+OPTIMIZE = Table("records", (
+    _field("k"), _field("a1", _side(0)), _field("a2", _side(1)), _field("a3", _side(2)),
+    *map(_field, ("lambda_star", "delta", "evaluations", "restarts_agreeing",
+                  "unique_within_tol", "status")),
+))
+
+VERIFY = Table("reports", (
+    _field("suite", "name"),
+    _field("input_repr", "inputs", key="inputs"),
+    *map(_field, ("lhs", "rhs", "slack")),
+    _field("pass", "passed"),
+))
 
 
-def read_optimize_csv(stream) -> list[OptimalRecord]:
-    reader = csv.DictReader(stream)
+# A spectrum record is a tuple in the order of its columns, with a range of k.
+SPECTRUM = Table("eigenvalues", tuple(
+    _field(column, itemgetter(i))
+    for i, column in enumerate(("k", "lambda", "lambda_over_pi2", "multiplicity", "indices"))
+))
+
+
+def _count_field(column: str, i: int, attr: str) -> tuple:
+    # A count record is the pair (cuboid, bundle).
+    return _field(column, lambda pair: getattr(pair[i], attr))
+
+
+COUNT = Table(None, (
+    *(_count_field(a, 0, a) for a in ("a1", "a2", "a3")),
+    _count_field("lambda", 1, "lam"),
+    *(_count_field(name, 1, name.lower()) for name in (
+        "N", "T", "T_x1", "T_x2", "T_x3", "Tp_x1", "Tp_x2", "Tp_x3", "f1", "f2", "f3")),
+    _field("identity_ok", lambda pair: pair[1].consistent()),
+))
+
+
+def spectrum_records(points: list[SpectralPoint], k_max: int, is_cube: bool) -> list:
+    """The records of eigenvalues 1..k_max, one per spectral point."""
     records = []
-    for row in reader:
-        if int(row["schema_version"]) != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema_version {row['schema_version']}")
-        a1, a2, a3 = (float(row[key]) for key in ("a1", "a2", "a3"))
-        cuboid = None if a1 != a1 else Cuboid(a1, a2, a3)
-        records.append(
-            OptimalRecord(
-                k=int(row["k"]),
-                cuboid=cuboid,
-                lambda_star=float(row["lambda_star"]),
-                delta=float(row["delta"]),
-                evaluations=int(row["evaluations"]),
-                restarts_agreeing=int(row["restarts_agreeing"]),
-                unique_within_tol=parse_bool(row["unique_within_tol"]),
-                status=row["status"],
-            )
-        )
+    k = 1
+    for point in points:
+        value, indices = point.value, point.indices
+        over_pi2 = value / PI_SQUARED  # an exact integer on the unit cube
+        ks = range(k, min(k + len(indices), k_max + 1))
+        records.append((ks, value, round(over_pi2) if is_cube else over_pi2, len(indices), indices))
+        k = ks.stop
     return records
 
 
-def optimize_records_json(records: Iterable[OptimalRecord]) -> str:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "records": [
-            {
-                "k": r.k,
-                "a1": r.cuboid.a1 if r.cuboid else None,
-                "a2": r.cuboid.a2 if r.cuboid else None,
-                "a3": r.cuboid.a3 if r.cuboid else None,
-                "lambda_star": None if r.lambda_star != r.lambda_star else r.lambda_star,
-                "delta": None if r.delta != r.delta else r.delta,
-                "evaluations": r.evaluations,
-                "restarts_agreeing": r.restarts_agreeing,
-                "unique_within_tol": r.unique_within_tol,
-                "status": r.status,
-            }
-            for r in records
-        ],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def verify_row(report: BoundReport) -> list[str]:
-    return [
-        str(SCHEMA_VERSION),
-        report.name,
-        input_repr(report.inputs),
-        fmt_float(report.lhs),
-        fmt_float(report.rhs),
-        fmt_float(report.slack),
-        fmt_bool(report.passed),
-    ]
-
-
-def write_verify_csv(stream, reports: Iterable[BoundReport]) -> None:
-    write_csv(stream, VERIFY_COLUMNS, [verify_row(r) for r in reports])
-
-
-def verify_reports_json(reports: Iterable[BoundReport]) -> str:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "reports": [
-            {
-                "suite": r.name,
-                "inputs": r.inputs,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "slack": r.slack,
-                "pass": r.passed,
-            }
-            for r in reports
-        ],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def spectrum_rows(
-    points: list[SpectralPoint], k_max: int, is_cube: bool
-) -> list[list[str]]:
-    """One row per eigenvalue index 1..k_max."""
-    from .spectrum import PI_SQUARED
-
-    rows = []
-    k = 0
-    for point in points:
-        over_pi2 = point.value / PI_SQUARED
-        over_pi2_repr = (
-            str(round(over_pi2)) if is_cube else fmt_float(over_pi2)
-        )
-        indices_repr = ";".join(",".join(map(str, t)) for t in point.indices)
-        for _ in range(point.multiplicity):
-            k += 1
-            if k > k_max:
-                return rows
-            rows.append(
-                [
-                    str(SCHEMA_VERSION),
-                    str(k),
-                    fmt_float(point.value),
-                    over_pi2_repr,
-                    str(point.multiplicity),
-                    indices_repr,
-                ]
-            )
-    return rows
-
-
-def spectrum_json(points: list[SpectralPoint], k_max: int, is_cube: bool) -> str:
-    from .spectrum import PI_SQUARED
-
-    entries = []
-    k = 0
-    for point in points:
-        for _ in range(point.multiplicity):
-            k += 1
-            if k > k_max:
-                break
-            entries.append(
-                {
-                    "k": k,
-                    "lambda": point.value,
-                    "lambda_over_pi2": round(point.value / PI_SQUARED)
-                    if is_cube
-                    else point.value / PI_SQUARED,
-                    "multiplicity": point.multiplicity,
-                    "indices": [list(t) for t in point.indices],
-                }
-            )
-    return json.dumps({"schema_version": SCHEMA_VERSION, "eigenvalues": entries}, indent=2)
-
-
-def bundle_json(cuboid: Cuboid, bundle: CountBundle) -> str:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "a1": cuboid.a1,
-        "a2": cuboid.a2,
-        "a3": cuboid.a3,
-        "lambda": bundle.lam,
-        "N": bundle.n,
-        "T": bundle.t,
-        "T_x1": bundle.t_x1,
-        "T_x2": bundle.t_x2,
-        "T_x3": bundle.t_x3,
-        "Tp_x1": bundle.tp_x1,
-        "Tp_x2": bundle.tp_x2,
-        "Tp_x3": bundle.tp_x3,
-        "f1": bundle.f1,
-        "f2": bundle.f2,
-        "f3": bundle.f3,
-        "identity_ok": bundle.consistent(),
-    }
-    return json.dumps(payload, indent=2)
+OPTIMIZE_COLUMNS = OPTIMIZE.columns
+VERIFY_COLUMNS = VERIFY.columns
+optimize_records_json = OPTIMIZE.json
+verify_reports_json = VERIFY.json
+write_optimize_csv = OPTIMIZE.write_csv
+write_verify_csv = VERIFY.write_csv
 
 
 def bundle_csv(cuboid: Cuboid, bundle: CountBundle) -> str:
-    columns = [
-        "schema_version",
-        "a1",
-        "a2",
-        "a3",
-        "lambda",
-        "N",
-        "T",
-        "T_x1",
-        "T_x2",
-        "T_x3",
-        "Tp_x1",
-        "Tp_x2",
-        "Tp_x3",
-        "f1",
-        "f2",
-        "f3",
-        "identity_ok",
-    ]
-    row = [
-        str(SCHEMA_VERSION),
-        fmt_float(cuboid.a1),
-        fmt_float(cuboid.a2),
-        fmt_float(cuboid.a3),
-        fmt_float(bundle.lam),
-        str(bundle.n),
-        str(bundle.t),
-        str(bundle.t_x1),
-        str(bundle.t_x2),
-        str(bundle.t_x3),
-        str(bundle.tp_x1),
-        str(bundle.tp_x2),
-        str(bundle.tp_x3),
-        str(bundle.f1),
-        str(bundle.f2),
-        str(bundle.f3),
-        fmt_bool(bundle.consistent()),
-    ]
-    out = io.StringIO()
-    write_csv(out, columns, [row])
-    return out.getvalue()
+    return COUNT.csv([(cuboid, bundle)])
+
+
+def bundle_json(cuboid: Cuboid, bundle: CountBundle) -> str:
+    return COUNT.json([(cuboid, bundle)])
+
+
+def read_optimize_csv(stream) -> list[OptimalRecord]:
+    """Records from optimize CSV; each column parses as the type its field holds."""
+    types = get_type_hints(OptimalRecord)
+    parse = {int: int, float: float, bool: parse_bool, str: str}
+    records = []
+    for row in csv.DictReader(stream):
+        if int(row["schema_version"]) != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema_version {row['schema_version']}")
+        values = {
+            column: parse[types.get(column, float)](row[column])
+            for column, _, _ in OPTIMIZE.fields
+        }
+        sides = [values.pop(a) for a in ("a1", "a2", "a3")]
+        values["cuboid"] = None if math.isnan(sides[0]) else Cuboid(*sides)
+        records.append(OptimalRecord(**values))
+    return records

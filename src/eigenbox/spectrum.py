@@ -49,6 +49,14 @@ DEFAULT_CANDIDATE_CAP = 24_000_000
 # Below this slice width the scalar inner loop beats numpy dispatch.
 _VECTOR_MIN = 24
 
+# The counting kernels correct a sqrt guess against the predicate one step at
+# a time.  Past 2^53, or where the other axes' terms swamp a step, a step of
+# one may not change the float predicate and the correction would not end; so
+# a count past _NMAX_LIMIT, or a correction of more than _MAX_STEPS steps,
+# raises ResourceLimitError.
+_NMAX_LIMIT = 2.0**53
+_MAX_STEPS = 4
+
 
 class ResourceLimitError(RuntimeError):
     """An eigenvalue query would enumerate more candidates than allowed."""
@@ -68,8 +76,9 @@ class Cuboid:
     a3: float
 
     def __post_init__(self) -> None:
-        if not (self.a1 > 0.0 and math.isfinite(self.a3)):
-            raise ValueError(f"sides must be positive finite, got {self}")
+        # Within [1e-154, 1e154] every side's square and inverse square is finite.
+        if not (1e-154 <= self.a1 and self.a3 <= 1e154):
+            raise ValueError(f"sides must be positive finite, within [1e-154, 1e154], got {self}")
         if not (self.a1 <= self.a2 <= self.a3):
             raise ValueError(f"sides must be sorted ascending, got {self}")
         if abs(self.a1 * self.a2 * self.a3 - 1.0) > VOLUME_TOL:
@@ -78,8 +87,8 @@ class Cuboid:
     @classmethod
     def from_sides(cls, a1: float, a2: float) -> "Cuboid":
         """Box with sides ``a1``, ``a2`` and ``1/(a1*a2)``, sorted."""
-        if not (a1 > 0.0 and a2 > 0.0 and math.isfinite(a1) and math.isfinite(a2)):
-            raise ValueError(f"sides must be positive finite, got {a1}, {a2}")
+        if not (a1 > 0.0 and a2 > 0.0 and 0.0 < a1 * a2 < math.inf):
+            raise ValueError(f"sides and their product must be positive finite, got {a1}, {a2}")
         s1, s2, s3 = sorted((a1, a2, 1.0 / (a1 * a2)))
         return cls(s1, s2, s3)
 
@@ -155,41 +164,72 @@ def cube_upper_bound(k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _unresolved(lam_eff: float) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"float64 cannot count the lattice points below lambda={lam_eff:.6g} "
+        "on this box: a count passes 2^53 or a unit step is below rounding"
+    )
+
+
 def _nmax_scalar(c: float, q: float, lam_eff: float) -> int:
     """Largest n >= 0 with pi^2*(c + n^2*q) <= lam_eff."""
-    n = int(math.sqrt(max((lam_eff / PI_SQUARED - c) / q, 0.0)))
+    guess = math.sqrt(max((lam_eff / PI_SQUARED - c) / q, 0.0))
+    if guess > _NMAX_LIMIT:
+        raise _unresolved(lam_eff)
+    n = first = int(guess)
     while PI_SQUARED * (c + float((n + 1) * (n + 1)) * q) <= lam_eff:
         n += 1
+        if n - first > _MAX_STEPS:
+            raise _unresolved(lam_eff)
     while n > 0 and PI_SQUARED * (c + float(n * n) * q) > lam_eff:
         n -= 1
+        if first - n > _MAX_STEPS:
+            raise _unresolved(lam_eff)
     return n
 
 
 def _nmax_vec(c: np.ndarray, q: float, lam_eff: float) -> np.ndarray:
-    g = np.sqrt(np.maximum((lam_eff / PI_SQUARED - c) / q, 0.0)).astype(np.int64)
-    while True:
+    """_nmax_scalar for each entry of ``c``, which must ascend."""
+    guess = np.sqrt(np.maximum((lam_eff / PI_SQUARED - c) / q, 0.0))
+    # guess[0] is the largest, so this also bounds the sum of the counts,
+    # which callers take in int64.
+    if guess[0] * len(c) > _NMAX_LIMIT:
+        raise _unresolved(lam_eff)
+    g = guess.astype(np.int64)
+    for _ in range(_MAX_STEPS):
         t = (g + 1).astype(np.float64)
         ok = PI_SQUARED * (c + (t * t) * q) <= lam_eff
         if not ok.any():
             break
         g += ok.astype(np.int64)
-    while True:
+    else:
+        raise _unresolved(lam_eff)
+    for _ in range(_MAX_STEPS):
         t = g.astype(np.float64)
         bad = (g > 0) & (PI_SQUARED * (c + (t * t) * q) > lam_eff)
         if not bad.any():
             break
         g -= bad.astype(np.int64)
+    else:
+        raise _unresolved(lam_eff)
     return g
 
 
-def _slice_third_counts(c1: float, q2: float, q3: float, lam_eff: float) -> np.ndarray:
+def _slice_third_counts(
+    c1: float, q2: float, q3: float, lam_eff: float, cap: int = DEFAULT_CANDIDATE_CAP
+) -> np.ndarray:
     """For i2 = 1, 2, ... the count of i3 >= 1 with (i1, i2, i3) inside.
 
     The returned array covers the full feasible i2 range (its last entry is
-    zero or the range was empty).
+    zero or the range was empty).  A range of more than ``cap`` columns raises
+    :class:`ResourceLimitError` before any array exists.
     """
     rem = lam_eff / PI_SQUARED - c1 - q3
     width = int(math.sqrt(max(rem, 0.0) / q2)) + 2
+    if width > cap:
+        raise ResourceLimitError(
+            f"a slice below lambda={lam_eff:.6g} spans more than {cap} columns (the candidate cap)"
+        )
     if width <= _VECTOR_MIN:
         counts = []
         i2 = 1
@@ -243,13 +283,13 @@ def _octant_band(
     i1 = 1
     while True:
         c1 = float(i1 * i1) * q1
-        top = _slice_third_counts(c1, q2, q3, hi_eff)
+        top = _slice_third_counts(c1, q2, q3, hi_eff, cap)
         n_top = int(top.sum())
         if n_top == 0:
             break
         floor = np.zeros_like(top)
         if PI_SQUARED * (c1 + q2 + q3) <= lo_eff:
-            g = _slice_third_counts(c1, q2, q3, lo_eff)[: len(top)]
+            g = _slice_third_counts(c1, q2, q3, lo_eff, cap)[: len(top)]
             floor[: len(g)] = g
         n_floor = int(floor.sum())
         below += n_floor
