@@ -25,6 +25,9 @@ from .spectrum import (
     PI_SQUARED,
     Cuboid,
     ResourceLimitError,
+    _BLOCK,
+    _VECTOR_MIN,
+    _block_columns,
     _cube_cutoff,
     _nmax_scalar,
     _nmax_vec,
@@ -163,20 +166,44 @@ def count_full(cuboid: Cuboid, lam: float) -> int:
     if cuboid.is_cube:
         return _sphere_points_m(_cube_cutoff(lam_eff))
     q1, q2, q3 = cuboid.inv_sq
+    # Blocks of consecutive x1 slices: the rectangle of rows x1 .. x1+rows-1
+    # by columns x2 = 0 .. width-1, width the extent of its first (widest)
+    # row, flattened row by row so that it starts at its smallest c.  A
+    # column past its row's end holds no point; a slice that alone fills a
+    # block is cut into pieces of _BLOCK columns.
+    top = _nmax_scalar(0.0, q1, lam_eff)
     total = 0
     x1 = 0
-    while True:
+    while x1 <= top:
         c1 = float(x1 * x1) * q1
-        if PI_SQUARED * c1 > lam_eff:
-            break
-        x2max = _nmax_scalar(c1, q2, lam_eff)
-        x2 = np.arange(0, x2max + 1, dtype=np.int64)
-        t2 = x2.astype(np.float64)
-        g = _nmax_vec(c1 + (t2 * t2) * q2, q3, lam_eff)
-        col = 2 * g + 1
-        slice_total = int(col[0] + 2 * col[1:].sum())
-        total += slice_total if x1 == 0 else 2 * slice_total
-        x1 += 1
+        width = _nmax_scalar(c1, q2, lam_eff) + 1
+        rows = max(1, min(_block_columns(c1, q3, lam_eff) // width, top + 1 - x1))
+        t1 = np.arange(x1, x1 + rows, dtype=np.float64)
+        row_c = ((t1 * t1) * q1)[:, None]
+        row_weight = np.where(t1 == 0.0, 1, 2)
+        step = _BLOCK // rows
+        for lo in range(0, width, step):
+            t2 = np.arange(lo, min(lo + step, width), dtype=np.float64)
+            c = row_c + (t2 * t2) * q2
+            g = _nmax_vec(c.ravel(), q3, lam_eff).reshape(c.shape)
+            points = np.where(PI_SQUARED * c <= lam_eff, 2 * g + 1, 0)
+            total += int(row_weight @ points @ np.where(t2 == 0.0, 1, 2))
+        x1 += rows
+    return total
+
+
+def _line_sum(qu: float, qv: float, lam_eff: float, n: int) -> int:
+    """Sum over u = 1 .. n of _nmax_scalar(u^2*qu, qv, lam_eff).
+
+    A line of at most _VECTOR_MIN points takes the scalar kernel, a longer
+    one a vector kernel call per _BLOCK points.
+    """
+    if n <= _VECTOR_MIN:
+        return sum(_nmax_scalar(float(u * u) * qu, qv, lam_eff) for u in range(1, n + 1))
+    total = 0
+    for lo in range(1, n + 1, _BLOCK):
+        u = np.arange(lo, min(lo + _BLOCK, n + 1), dtype=np.float64)
+        total += int(_nmax_vec((u * u) * qu, qv, lam_eff).sum())
     return total
 
 
@@ -187,27 +214,14 @@ def count_plane(cuboid: Cuboid, lam: float, axis: int) -> int:
     qu, qv = _axis_pairs(cuboid.inv_sq, axis)
     if cuboid.is_cube:
         return _disc_points_m(_cube_cutoff(lam_eff))
-    total = 2 * _nmax_scalar(0.0, qv, lam_eff) + 1
-    u = 1
-    while True:
-        cu = float(u * u) * qu
-        if PI_SQUARED * cu > lam_eff:
-            break
-        total += 2 * (2 * _nmax_scalar(cu, qv, lam_eff) + 1)
-        u += 1
-    return total
+    # The v line through u = 0, then the lines u = +-1 .. +-n inside E(lam).
+    n = _nmax_scalar(0.0, qu, lam_eff)
+    return 2 * _nmax_scalar(0.0, qv, lam_eff) + 1 + 2 * (2 * _line_sum(qu, qv, lam_eff, n) + n)
 
 
 def _quadrant_count(qu: float, qv: float, lam_eff: float) -> int:
-    total = 0
-    u = 1
-    while True:
-        n = _nmax_scalar(float(u * u) * qu, qv, lam_eff)
-        if n == 0:
-            break
-        total += n
-        u += 1
-    return total
+    # The lines u = 1, 2, ... that hold a point with v >= 1.
+    return _line_sum(qu, qv, lam_eff, _nmax_scalar(qv, qu, lam_eff))
 
 
 def _axis_count(q: float, lam_eff: float) -> int:

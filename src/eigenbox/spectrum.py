@@ -7,13 +7,17 @@ octant.  Membership is decided by one canonical floating-point predicate
 (inclusive at the boundary, relative tolerance ``COUNT_EPS``) that all
 counters in the package share.
 
-``count_upto`` counts the octant; on the unit cube it takes a pure integer
-path that is exactly equivalent to the predicate.  ``kth_eigenvalue`` and
-``spectrum_points`` walk it through one band kernel, which returns the
-eigenvalues in a band (lo, hi] with their index triples.  The band sits
-around the two-term Weyl guess for lambda_k (from 0 for a spectrum) and
-widens until it holds the k-th eigenvalue and its ``DEGENERACY_RTOL``
-window; ``candidate_cap`` bounds how many points the band may hold.
+``count_upto`` counts the octant in blocked numpy passes: a block is a run
+of consecutive i1 slices, at most ``_BLOCK`` (i1, i2) columns, whose i3
+points one vector kernel call counts, so numpy's dispatch is paid per block
+rather than per slice and memory stays flat in lambda.  On the unit cube it
+takes a pure integer path that is exactly equivalent to the predicate.
+``kth_eigenvalue`` and ``spectrum_points`` walk the octant through one band
+kernel, which returns the eigenvalues in a band (lo, hi] with their index
+triples.  The band sits around the two-term Weyl guess for lambda_k (from 0
+for a spectrum) and widens until it holds the k-th eigenvalue and its
+``DEGENERACY_RTOL`` window; ``candidate_cap`` bounds how many points the band
+may hold.
 """
 
 from __future__ import annotations
@@ -46,8 +50,15 @@ VOLUME_TOL = 1e-12
 # the 50M x 23.9 B = 1.20 GB of a former cap of 50M bare values.
 DEFAULT_CANDIDATE_CAP = 24_000_000
 
-# Below this slice width the scalar inner loop beats numpy dispatch.
+# A slice of the band kernel, or a lattice line of the plane and quadrant
+# counts, of at most this many points is counted by the scalar kernel, which
+# beats numpy's dispatch there; longer ones by the vector kernel.
 _VECTOR_MIN = 24
+
+# The most (i1, i2) columns, or line points, that one vector kernel call of a
+# blocked pass counts.  A block's arrays then take a few MiB at most, whatever
+# lambda is.
+_BLOCK = 1 << 14
 
 # The counting kernels correct a sqrt guess against the predicate one step at
 # a time.  Past 2^53, or where the other axes' terms swamp a step, a step of
@@ -189,7 +200,8 @@ def _nmax_scalar(c: float, q: float, lam_eff: float) -> int:
 
 
 def _nmax_vec(c: np.ndarray, q: float, lam_eff: float) -> np.ndarray:
-    """_nmax_scalar for each entry of ``c``, which must ascend."""
+    """_nmax_scalar for each entry of the flat array ``c``, whose first entry
+    must be its smallest."""
     guess = np.sqrt(np.maximum((lam_eff / PI_SQUARED - c) / q, 0.0))
     # guess[0] is the largest, so this also bounds the sum of the counts,
     # which callers take in int64.
@@ -250,18 +262,63 @@ def _slice_third_counts(
         width *= 2
 
 
+def _block_columns(c0: float, q: float, lam_eff: float) -> int:
+    """Columns that a block whose smallest c is ``c0`` may hold.
+
+    At most ``_BLOCK``, and few enough that the vector kernel's bound on the
+    block's int64 sum (largest count times length <= 2^53) holds, so putting
+    several slices in one block refuses no count that counting them one by
+    one accepts.
+    """
+    guess = math.sqrt(max((lam_eff / PI_SQUARED - c0) / q, 0.0))
+    return min(_BLOCK, int(_NMAX_LIMIT / max(guess, 1.0)))
+
+
+def _slice_width(rem: float, q2: float) -> int:
+    """Columns i2 = 1 .. width that cover a slice whose column i2 = 0 leaves
+    ``rem`` of lambda_eff/pi^2, unless rounding moves its edge by two."""
+    return int(math.sqrt(max(rem, 0.0) / q2)) + 2
+
+
 def _octant_count(inv: tuple[float, float, float], lam_eff: float) -> int:
+    """N in blocks of consecutive i1 slices.
+
+    A block is the rectangle of rows i1 .. i1+rows-1 by columns i2 = 1 ..
+    width, with width the sqrt estimate for its first (widest) row.  Flattened
+    row by row it starts at its smallest c, and one ``_nmax_vec`` call counts
+    the i3 points of all its columns.  A slice that alone fills a block is
+    cut into pieces of ``_BLOCK`` columns.  If the first row's last column is
+    not empty, the estimate fell short for every row: the block goes on with
+    the next columns, as ``_slice_third_counts`` widens a slice.
+    """
     q1, q2, q3 = inv
+    top = lam_eff / PI_SQUARED
+    last = int(math.sqrt(max((top - q2 - q3) / q1, 0.0))) + 1
     total = 0
     i1 = 1
     while True:
-        g = _slice_third_counts(float(i1 * i1) * q1, q2, q3, lam_eff)
-        n = int(g.sum())
-        if n == 0:
-            break
-        total += n
-        i1 += 1
-    return total
+        c1 = float(i1 * i1) * q1
+        if PI_SQUARED * (c1 + q2 + q3) > lam_eff:
+            return total
+        width = _slice_width(top - c1 - q3, q2)
+        if width > DEFAULT_CANDIDATE_CAP:
+            raise ResourceLimitError(
+                f"a slice below lambda={lam_eff:.6g} spans more than "
+                f"{DEFAULT_CANDIDATE_CAP} columns (the candidate cap)"
+            )
+        rows = max(1, min(_block_columns(c1 + q2, q3, lam_eff) // width, last + 1 - i1))
+        t1 = np.arange(i1, i1 + rows, dtype=np.float64)
+        row_c = ((t1 * t1) * q1)[:, None]
+        step = _BLOCK // rows
+        lo = 1
+        while lo <= width:
+            t2 = np.arange(lo, min(lo + step, width + 1), dtype=np.float64)
+            g = _nmax_vec((row_c + (t2 * t2) * q2).ravel(), q3, lam_eff)
+            total += int(g.sum())
+            lo += len(t2)
+            if lo > width and g[len(t2) - 1] != 0:
+                width *= 2
+        i1 += rows
 
 
 def _octant_band(

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from eigenbox.spectrum import (
     ResourceLimitError,
     _nmax_scalar,
     _nmax_vec,
+    count_upto,
 )
 
 SRC = str(Path(eigenbox.__file__).resolve().parents[1])
@@ -75,6 +77,23 @@ def test_kernels_refuse_lines_past_2_to_53():
     with pytest.raises(ResourceLimitError):
         _nmax_vec(np.array([0.0, 1.0]), 1e-40, 1e3)
     assert _nmax_scalar(0.0, 1e-20, 1e3) == int(math.sqrt(1e3 / PI**2 / 1e-20))
+
+
+def test_count_upto_refuses_a_slice_past_2_to_53():
+    # a3 = 1e8: each of the ~320 columns of the first slice holds about 3e14
+    # points, so the slice's sum could pass 2^53.
+    with pytest.raises(ResourceLimitError):
+        count_upto(Cuboid.from_sides(1e-4, 1e-4), 1e14)
+
+
+def test_count_with_long_plane_lines_exits_3_quickly():
+    # The (x2, x3) plane holds about 1e7 lines of about 1e12 points; the plane
+    # and quadrant counts once looped over them in Python for ~30 s before
+    # the full-lattice count refused the box.
+    start = time.perf_counter()
+    proc = run_cli("count", "--a1", "1e-9", "--a2", "100", "--lambda", "9.87e10")
+    assert proc.returncode == 3, proc.stderr
+    assert time.perf_counter() - start < 5.0
 
 
 def _column_limit(cuboid):
