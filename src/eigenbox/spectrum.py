@@ -12,12 +12,13 @@ of consecutive i1 slices, at most ``_BLOCK`` (i1, i2) columns, whose i3
 points one vector kernel call counts, so numpy's dispatch is paid per block
 rather than per slice and memory stays flat in lambda.  On the unit cube it
 takes a pure integer path that is exactly equivalent to the predicate.
-``kth_eigenvalue`` and ``spectrum_points`` walk the octant through one band
-kernel, which returns the eigenvalues in a band (lo, hi] with their index
-triples.  The band sits around the two-term Weyl guess for lambda_k (from 0
-for a spectrum) and widens until it holds the k-th eigenvalue and its
-``DEGENERACY_RTOL`` window; ``candidate_cap`` bounds how many points the band
-may hold.
+``kth_eigenvalue`` and ``spectrum_points`` walk the same blocks through one
+band kernel, which counts each column's i3 points at both edges of a band
+(lo, hi] in one vector kernel call and returns the band's eigenvalues with
+their index triples.  The band sits around the two-term Weyl guess for
+lambda_k (from 0 for a spectrum) and widens until it holds the k-th
+eigenvalue and its ``DEGENERACY_RTOL`` window; ``candidate_cap`` bounds how
+many points the band may hold.
 """
 
 from __future__ import annotations
@@ -44,16 +45,11 @@ DEGENERACY_RTOL = 1e-9
 VOLUME_TOL = 1e-12
 
 # Default ceiling on the number of candidates one eigenvalue band may hold.
-# A band candidate peaks at 49 B while the band is built (a float64 value,
-# three int64 indices and their temporaries; tracemalloc, K = 2M on the box
-# (0.7, 0.9)), so 24M candidates take at most 24M x 49 B = 1.18 GB, within
-# the 50M x 23.9 B = 1.20 GB of a former cap of 50M bare values.
+# A band candidate peaks at 41 B (a float64 value, three int64 indices and
+# one 8-byte temporary or sort index; tracemalloc, 40.4 B at K = 2M and
+# 40.7 B at K = 500k for a spectrum on the box (0.7, 0.9)), so 24M
+# candidates take at most 24M x 41 B = 0.98 GB.
 DEFAULT_CANDIDATE_CAP = 24_000_000
-
-# A slice of the band kernel, or a lattice line of the plane and quadrant
-# counts, of at most this many points is counted by the scalar kernel, which
-# beats numpy's dispatch there; longer ones by the vector kernel.
-_VECTOR_MIN = 24
 
 # The most (i1, i2) columns, or line points, that one vector kernel call of a
 # blocked pass counts.  A block's arrays then take a few MiB at most, whatever
@@ -175,9 +171,9 @@ def cube_upper_bound(k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _unresolved(lam_eff: float) -> ResourceLimitError:
+def _unresolved(lam_eff: float | np.ndarray) -> ResourceLimitError:
     return ResourceLimitError(
-        f"float64 cannot count the lattice points below lambda={lam_eff:.6g} "
+        f"float64 cannot count the lattice points below lambda={np.max(lam_eff):.6g} "
         "on this box: a count passes 2^53 or a unit step is below rounding"
     )
 
@@ -199,9 +195,10 @@ def _nmax_scalar(c: float, q: float, lam_eff: float) -> int:
     return n
 
 
-def _nmax_vec(c: np.ndarray, q: float, lam_eff: float) -> np.ndarray:
-    """_nmax_scalar for each entry of the flat array ``c``, whose first entry
-    must be its smallest."""
+def _nmax_vec(c: np.ndarray, q: float, lam_eff: float | np.ndarray) -> np.ndarray:
+    """_nmax_scalar for each entry of the flat array ``c`` (and of
+    ``lam_eff``, if an array), whose first entry must have the largest guess:
+    the smallest c, at the largest lam_eff."""
     guess = np.sqrt(np.maximum((lam_eff / PI_SQUARED - c) / q, 0.0))
     # guess[0] is the largest, so this also bounds the sum of the counts,
     # which callers take in int64.
@@ -211,7 +208,7 @@ def _nmax_vec(c: np.ndarray, q: float, lam_eff: float) -> np.ndarray:
     for _ in range(_MAX_STEPS):
         t = (g + 1).astype(np.float64)
         ok = PI_SQUARED * (c + (t * t) * q) <= lam_eff
-        if not ok.any():
+        if not np.count_nonzero(ok):
             break
         g += ok.astype(np.int64)
     else:
@@ -219,47 +216,12 @@ def _nmax_vec(c: np.ndarray, q: float, lam_eff: float) -> np.ndarray:
     for _ in range(_MAX_STEPS):
         t = g.astype(np.float64)
         bad = (g > 0) & (PI_SQUARED * (c + (t * t) * q) > lam_eff)
-        if not bad.any():
+        if not np.count_nonzero(bad):
             break
         g -= bad.astype(np.int64)
     else:
         raise _unresolved(lam_eff)
     return g
-
-
-def _slice_third_counts(
-    c1: float, q2: float, q3: float, lam_eff: float, cap: int = DEFAULT_CANDIDATE_CAP
-) -> np.ndarray:
-    """For i2 = 1, 2, ... the count of i3 >= 1 with (i1, i2, i3) inside.
-
-    The returned array covers the full feasible i2 range (its last entry is
-    zero or the range was empty).  A range of more than ``cap`` columns raises
-    :class:`ResourceLimitError` before any array exists.
-    """
-    rem = lam_eff / PI_SQUARED - c1 - q3
-    width = int(math.sqrt(max(rem, 0.0) / q2)) + 2
-    if width > cap:
-        raise ResourceLimitError(
-            f"a slice below lambda={lam_eff:.6g} spans more than {cap} columns (the candidate cap)"
-        )
-    if width <= _VECTOR_MIN:
-        counts = []
-        i2 = 1
-        while True:
-            n = _nmax_scalar(c1 + float(i2 * i2) * q2, q3, lam_eff)
-            if n == 0:
-                break
-            counts.append(n)
-            i2 += 1
-        return np.asarray(counts, dtype=np.int64)
-    while True:
-        i2 = np.arange(1, width + 1, dtype=np.int64)
-        t2 = i2.astype(np.float64)
-        c12 = c1 + (t2 * t2) * q2
-        g = _nmax_vec(c12, q3, lam_eff)
-        if g[-1] == 0:
-            return g
-        width *= 2
 
 
 def _block_columns(c0: float, q: float, lam_eff: float) -> int:
@@ -289,7 +251,7 @@ def _octant_count(inv: tuple[float, float, float], lam_eff: float) -> int:
     the i3 points of all its columns.  A slice that alone fills a block is
     cut into pieces of ``_BLOCK`` columns.  If the first row's last column is
     not empty, the estimate fell short for every row: the block goes on with
-    the next columns, as ``_slice_third_counts`` widens a slice.
+    the next columns.
     """
     q1, q2, q3 = inv
     top = lam_eff / PI_SQUARED
@@ -324,62 +286,90 @@ def _octant_count(inv: tuple[float, float, float], lam_eff: float) -> int:
 def _octant_band(
     inv: tuple[float, float, float], lo_eff: float, hi_eff: float, cap: int
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """One walk over the octant for the band (lo_eff, hi_eff].
+    """One blocked walk over the octant for the band (lo_eff, hi_eff].
 
     Returns the number of points with eigenvalue <= ``lo_eff``, and the
-    eigenvalues (unsorted) and (i1, i2, i3) rows of the points in the band.
-    Each value is computed with the float64 operations of the membership
-    predicate, in the same order, so it is the number the counters compare.
-    Raises :class:`ResourceLimitError` as soon as the slices counted so far
-    put more than ``cap`` points in the band, before any point array exists.
+    eigenvalues (unsorted) of the points in the band with a (3, n) array of
+    their (i1, i2, i3).  The blocks are those of ``_octant_count`` at
+    ``hi_eff``; one ``_nmax_vec`` call per block counts each column's i3
+    points at both edges, or at ``hi_eff`` alone when the block lies wholly
+    above ``lo_eff``.  Each value is computed with the float64 operations of
+    the membership predicate, so it is the number the counters compare.  A
+    slice wider than ``cap`` columns, or more than ``cap`` points in the band,
+    raises :class:`ResourceLimitError` before any point array exists.
     """
     q1, q2, q3 = inv
-    below = 0
-    size = 0
-    tops, floors = [], []
+    top = hi_eff / PI_SQUARED
+    last = int(math.sqrt(max((top - q2 - q3) / q1, 0.0))) + 1
+    below = size = 0
+    # Per block piece, for its columns with a point in the band: c12, the
+    # band's count and (i1, i2, the column's first i3 in the band).
+    c12s, counts, cols = [], [], []
     i1 = 1
     while True:
         c1 = float(i1 * i1) * q1
-        top = _slice_third_counts(c1, q2, q3, hi_eff, cap)
-        n_top = int(top.sum())
-        if n_top == 0:
-            break
-        floor = np.zeros_like(top)
-        if PI_SQUARED * (c1 + q2 + q3) <= lo_eff:
-            g = _slice_third_counts(c1, q2, q3, lo_eff, cap)[: len(top)]
-            floor[: len(g)] = g
-        n_floor = int(floor.sum())
-        below += n_floor
-        size += n_top - n_floor
-        if size > cap:
+        width = _slice_width(top - c1 - q3, q2)
+        if width > cap:
             raise ResourceLimitError(
-                f"band ({lo_eff:.6g}, {hi_eff:.6g}] holds more than "
-                f"{cap} candidates (the candidate cap)"
+                f"a slice below lambda={hi_eff:.6g} spans more than {cap} columns "
+                "(the candidate cap)"
             )
-        tops.append(top)
-        floors.append(floor)
-        i1 += 1
-    if not tops:
-        return below, np.empty(0), np.empty((0, 3), dtype=np.int64)
-    # One entry per (i1, i2) column; column j holds i3 = floor[j]+1 .. top[j].
-    lengths = [len(t) for t in tops]
-    offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    i1 = np.repeat(np.arange(1, len(tops) + 1, dtype=np.int64), lengths)
-    i2 = np.arange(len(offsets), dtype=np.int64) - offsets + 1
-    floor = np.concatenate(floors)
-    reps = np.concatenate(tops) - floor
-    nz = reps > 0
-    i1, i2, floor, reps = i1[nz], i2[nz], floor[nz], reps[nz]
-    t1 = i1.astype(np.float64)
-    t2 = i2.astype(np.float64)
-    c12 = np.repeat((t1 * t1) * q1 + (t2 * t2) * q2, reps)
-    rows = np.empty((size, 3), dtype=np.int64)
-    rows[:, 0] = np.repeat(i1, reps)
-    rows[:, 1] = np.repeat(i2, reps)
-    rows[:, 2] = np.arange(size, dtype=np.int64)
-    rows[:, 2] += np.repeat(floor + 1 - (np.cumsum(reps) - reps), reps)
-    t3 = rows[:, 2].astype(np.float64)
-    return below, PI_SQUARED * (c12 + (t3 * t3) * q3), rows
+        if PI_SQUARED * (c1 + q2 + q3) > hi_eff:
+            break
+        rows = max(1, min(_block_columns(c1 + q2, q3, hi_eff) // width, last + 1 - i1))
+        t1 = np.arange(i1, i1 + rows, dtype=np.float64)
+        row_c = ((t1 * t1) * q1)[:, None]
+        step = _BLOCK // rows
+        lo = 1
+        while lo <= width:
+            t2 = np.arange(lo, min(lo + step, width + 1), dtype=np.float64)
+            c = (row_c + (t2 * t2) * q2).ravel()
+            # The block's first column holds its lowest point.
+            if PI_SQUARED * (c1 + q2 + q3) <= lo_eff:
+                n = len(c)
+                g = _nmax_vec(np.concatenate((c, c)), q3, np.repeat((hi_eff, lo_eff), n))
+                g, floor = g[:n], g[n:]
+                below += int(floor.sum())
+                count = g - floor
+            else:
+                g = count = _nmax_vec(c, q3, hi_eff)
+                floor = 0
+            size += int(count.sum())
+            if size > cap:
+                raise ResourceLimitError(
+                    f"band ({lo_eff:.6g}, {hi_eff:.6g}] holds more than "
+                    f"{cap} candidates (the candidate cap)"
+                )
+            col = np.empty((3, rows, len(t2)), dtype=np.int64)
+            col[0] = t1[:, None]
+            col[1] = t2
+            col = col.reshape(3, -1)
+            col[2] = floor + 1
+            nz = count.nonzero()[0]
+            c12s.append(c[nz])
+            counts.append(count[nz])
+            cols.append(col[:, nz])
+            lo += len(t2)
+            if lo > width and g[len(t2) - 1] != 0:
+                width *= 2
+        i1 += rows
+    if not cols:
+        return below, np.empty(0), np.empty((3, 0), dtype=np.int64)
+    # Column j holds the band's i3 = col[2, j] .. col[2, j] + count[j] - 1.
+    count, col, c12 = (
+        p[0] if len(p) == 1 else np.concatenate(p, axis=-1) for p in (counts, cols, c12s)
+    )
+    col[2] -= count.cumsum() - count
+    triples = col.repeat(count, axis=1)
+    triples[2] += np.arange(size, dtype=np.int64)
+    # pi^2 * (c12 + (t3*t3)*q3) in place: one temporary of 8 B a point.
+    values = c12.repeat(count)
+    t3 = triples[2].astype(np.float64)
+    np.multiply(t3, t3, out=t3)
+    t3 *= q3
+    values += t3
+    values *= PI_SQUARED
+    return below, values, triples
 
 
 # Integer path for the unit cube: the predicate reduces exactly to
@@ -454,15 +444,15 @@ def _weyl_guess(cuboid: Cuboid, k: int) -> float:
             return x * x
 
 
-def _sorted_band(
+def _band(
     cuboid: Cuboid, k: int, cap: int, from_zero: bool
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """A band around the Weyl guess for the k-th eigenvalue.
 
     Each side of the band widens until the band holds the k-th eigenvalue and
     its whole DEGENERACY_RTOL window; with ``from_zero`` the band starts at 0.
-    Returns the count of eigenvalues below the band, the band's values sorted,
-    its index rows in kernel order, and the order that sorts them.
+    Returns the band's values (unsorted), its index triples and the k-th
+    value.
     """
     guess = _weyl_guess(cuboid, k)
     # The guess's relative error shrinks like k^(-1/3).  Capped at 1, the margin
@@ -471,27 +461,19 @@ def _sorted_band(
     while True:
         lo = 0.0 if from_zero else max(guess * (1.0 - down), 0.0)
         hi = guess * (1.0 + up)
-        below, values, rows = _octant_band(cuboid.inv_sq, lo, hi, cap)
-        order = np.argsort(values)
-        values = values[order]
+        below, values, triples = _octant_band(cuboid.inv_sq, lo, hi, cap)
         j = k - 1 - below
-        if j < 0 or (j < len(values) and values[j] * (1.0 - DEGENERACY_RTOL) <= lo):
+        value = float(np.partition(values, j)[j]) if 0 <= j < len(values) else math.nan
+        if j < 0 or value * (1.0 - DEGENERACY_RTOL) <= lo:
             down *= 2.0
-        elif j >= len(values) or values[j] * (1.0 + DEGENERACY_RTOL) > hi:
+        elif j >= len(values) or value * (1.0 + DEGENERACY_RTOL) > hi:
             up *= 2.0
         else:
-            return below, values, rows, order
+            return values, triples, value
 
 
-def _point(
-    values: np.ndarray, rows: np.ndarray, order: np.ndarray, at: int
-) -> tuple[SpectralPoint, int]:
-    """The spectral point of ``values[at]`` and the end of its window."""
-    value = float(values[at])
-    start = int(np.searchsorted(values, value * (1.0 - DEGENERACY_RTOL), side="left"))
-    stop = int(np.searchsorted(values, value * (1.0 + DEGENERACY_RTOL), side="right"))
-    indices = tuple(sorted(map(tuple, rows[order[start:stop]].tolist())))
-    return SpectralPoint(value=value, indices=indices), stop
+def _indices(triples: np.ndarray) -> tuple[tuple[int, int, int], ...]:
+    return tuple(sorted(zip(*triples.tolist())))
 
 
 def kth_eigenvalue(
@@ -507,8 +489,10 @@ def kth_eigenvalue(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    below, values, rows, order = _sorted_band(cuboid, k, candidate_cap, from_zero=False)
-    return _point(values, rows, order, k - 1 - below)[0]
+    values, triples, value = _band(cuboid, k, candidate_cap, from_zero=False)
+    near = values >= value * (1.0 - DEGENERACY_RTOL)
+    near &= values <= value * (1.0 + DEGENERACY_RTOL)
+    return SpectralPoint(value=value, indices=_indices(triples.compress(near, axis=1)))
 
 
 def spectrum_points(
@@ -522,12 +506,18 @@ def spectrum_points(
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    _, values, rows, order = _sorted_band(cuboid, k_max, candidate_cap, from_zero=True)
+    values, triples, _ = _band(cuboid, k_max, candidate_cap, from_zero=True)
+    # Sorted in place, the band peaks at 41 B a candidate with the order.
+    order = values.argsort()
+    values.sort()
     points = []
     covered = 0
     while covered < k_max:
-        point, covered = _point(values, rows, order, covered)
-        points.append(point)
+        value = float(values[covered])
+        start = int(np.searchsorted(values, value * (1.0 - DEGENERACY_RTOL), side="left"))
+        covered = int(np.searchsorted(values, value * (1.0 + DEGENERACY_RTOL), side="right"))
+        indices = _indices(triples.take(order[start:covered], axis=1))
+        points.append(SpectralPoint(value=value, indices=indices))
     return points
 
 
