@@ -20,34 +20,28 @@ from .lattice import (
     count_bundle,
     count_full,
     count_plane,
-    cube_multiplicity,
     divisor_count,
-    gauss_circle_count,
     gauss_sphere_count,
     r2,
     r2_batch,
     r3,
-    sphere_counts_upto,
 )
 from .optimize import (
     InsufficientSpanError,
     OptimalRecord,
     OptimizerConfig,
     SearchBox,
-    objective,
     optimize_k,
     rate_fit,
     sweep,
 )
 from .spectrum import (
     Cuboid,
-    EllipsoidSpec,
     ResourceLimitError,
     SpectralPoint,
     UNIT_CUBE,
     count_upto,
     cube_spectrum_table,
-    cube_upper_bound,
     eigenvalue_of_index,
     kth_eigenvalue,
     spectrum_points,

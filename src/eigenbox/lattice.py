@@ -1,6 +1,6 @@
 """Full-lattice and sublattice counts on ellipsoids, and the arithmetic
-functions (two- and three-square representation numbers, divisor counts,
-cube multiplicities) that describe them.
+functions (two- and three-square representation numbers, divisor counts)
+that describe them.
 
 The signed counters here share the membership predicate of
 :mod:`eigenbox.spectrum`, so the symmetry decomposition
@@ -27,7 +27,6 @@ from .spectrum import (
     ResourceLimitError,
     _BLOCK,
     _block_columns,
-    _cube_cutoff,
     _nmax_scalar,
     _nmax_vec,
     count_upto,
@@ -137,7 +136,17 @@ def _check_lambda(lam: float, full_lattice: Cuboid | None = None) -> float:
 
 
 # Integer kernels (unit cube and gauss_* counts): cutoff m, then per-slice
-# integer square roots.  Exact for any m.
+# integer square roots.  Exact for any m.  On the unit cube the predicate
+# reduces exactly to x1^2 + x2^2 + x3^2 <= m with m from _cube_cutoff.
+
+
+def _cube_cutoff(lam_eff: float) -> int:
+    m = max(int(lam_eff / PI_SQUARED), 0)
+    while PI_SQUARED * float(m + 1) <= lam_eff:
+        m += 1
+    while m > 0 and PI_SQUARED * float(m) > lam_eff:
+        m -= 1
+    return m
 
 
 def _disc_points_m(m: int) -> int:
@@ -267,7 +276,7 @@ def count_bundle(cuboid: Cuboid, lam: float) -> CountBundle:
 
 
 # ---------------------------------------------------------------------------
-# Gauss circle / sphere counts and representation numbers.
+# Gauss sphere counts and representation numbers.
 # ---------------------------------------------------------------------------
 
 
@@ -283,11 +292,6 @@ def _radius_cutoff(r) -> int:
     if isinstance(r, int):
         return r * r
     return int((r * r) * (1.0 + COUNT_EPS))
-
-
-def gauss_circle_count(r) -> int:
-    """Number of integer pairs with x1^2 + x2^2 <= r^2."""
-    return _disc_points_m(_radius_cutoff(r))
 
 
 def gauss_sphere_count(r) -> int:
@@ -389,43 +393,3 @@ def divisor_count(n: int) -> int:
         if n % d == 0:
             total += 1 if d * d == n else 2
     return total
-
-
-def cube_multiplicity(m: int) -> int:
-    """Positive integer triples with i1^2 + i2^2 + i3^2 == m."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    total = 0
-    for i1 in range(1, math.isqrt(max(m - 2, 0)) + 1):
-        r1 = m - i1 * i1
-        for i2 in range(1, math.isqrt(max(r1 - 1, 0)) + 1):
-            rem = r1 - i2 * i2
-            if rem >= 1:
-                s = math.isqrt(rem)
-                if s * s == rem:
-                    total += 1
-    return total
-
-
-def sphere_counts_upto(m_max: int) -> np.ndarray:
-    """Cumulative lattice counts: out[m] = #{x in Z^3 : |x|^2 <= m}.
-
-    One geometric pass over all triples; independent of the representation
-    formulas above, so it doubles as their batch cross-check.
-    """
-    if m_max < 0:
-        raise ValueError(f"m_max must be >= 0, got {m_max}")
-    hist = np.zeros(m_max + 1, dtype=np.int64)
-    top = math.isqrt(m_max)
-    for z in range(0, top + 1):
-        wz = 1 if z == 0 else 2
-        mz = m_max - z * z
-        for x in range(0, math.isqrt(mz) + 1):
-            w = wz * (1 if x == 0 else 2)
-            ymax = math.isqrt(mz - x * x)
-            y = np.arange(0, ymax + 1, dtype=np.int64)
-            vals = z * z + x * x + y * y
-            weights = np.full(ymax + 1, 2 * w, dtype=np.int64)
-            weights[0] = w
-            np.add.at(hist, vals, weights)
-    return np.cumsum(hist)

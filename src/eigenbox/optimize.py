@@ -43,12 +43,6 @@ class SearchBox:
     def a2_bounds(self, a1: float) -> tuple[float, float]:
         return (a1, math.sqrt(1.0 / a1))
 
-    def contains(self, a1: float, a2: float, rtol: float = 1e-9) -> bool:
-        if not (self.a1_lo * (1.0 - rtol) <= a1 <= self.a1_hi * (1.0 + rtol)):
-            return False
-        lo, hi = self.a2_bounds(a1)
-        return lo * (1.0 - rtol) <= a2 <= hi * (1.0 + rtol)
-
     @property
     def a3_cap(self) -> float:
         return 1.0 / self.a1_lo**2
@@ -78,22 +72,6 @@ class OptimalRecord:
     @property
     def failed(self) -> bool:
         return self.cuboid is None
-
-
-def objective(
-    k: int,
-    a1: float,
-    a2: float,
-    box: SearchBox = SearchBox(),
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-) -> float:
-    """k-th eigenvalue of the box with free sides (a1, a2); rejects points
-    outside the search domain."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not box.contains(a1, a2):
-        raise ValueError(f"({a1}, {a2}) lies outside the search domain")
-    return kth_eigenvalue(Cuboid.from_sides(a1, a2), k, candidate_cap).value
 
 
 class _Objective:

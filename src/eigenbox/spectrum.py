@@ -10,20 +10,23 @@ counters in the package share.
 ``count_upto`` counts the octant in blocked numpy passes: a block is a run
 of consecutive i1 slices, at most ``_BLOCK`` (i1, i2) columns, whose i3
 points one vector kernel call counts, so numpy's dispatch is paid per block
-rather than per slice and memory stays flat in lambda.  On the unit cube it
-takes a pure integer path that is exactly equivalent to the predicate.
-``kth_eigenvalue`` and ``spectrum_points`` walk the same blocks through one
-band kernel, which counts each column's i3 points at both edges of a band
-(lo, hi] in one vector kernel call and returns the band's eigenvalues with
-their index triples.  The band sits around the two-term Weyl guess for
-lambda_k (from 0 for a spectrum) and widens until it holds the k-th
-eigenvalue and its ``DEGENERACY_RTOL`` window; ``candidate_cap`` bounds how
-many points the band may hold.
+rather than per slice and memory stays flat in lambda.  The unit cube takes
+the same path: its sums are exact integers below 2^53, so the predicate
+gives the integer count.  Only the cube's full-lattice (T), plane and
+quadrant counts in :mod:`eigenbox.lattice` and ``cube_spectrum_table`` stay
+integer.  ``kth_eigenvalue`` and ``spectrum_points`` walk the same blocks
+through one band kernel, which counts each column's i3 points at both edges
+of a band (lo, hi] in one vector kernel call and returns the band's
+eigenvalues with their index triples.  The band sits around the two-term
+Weyl guess for lambda_k (from 0 for a spectrum) and widens until it holds
+the k-th eigenvalue and its ``DEGENERACY_RTOL`` window; ``candidate_cap``
+bounds how many points the band may hold.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -128,37 +131,12 @@ class SpectralPoint:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class EllipsoidSpec:
-    """The ellipsoid whose positive-octant lattice points are the spectrum up to ``lam``."""
-
-    lam: float
-    cuboid: Cuboid
-
-    @property
-    def semi_axes(self) -> tuple[float, float, float]:
-        r = math.sqrt(self.lam) / PI
-        a1, a2, a3 = self.cuboid.sides
-        return (a1 * r, a2 * r, a3 * r)
-
-    @property
-    def volume(self) -> float:
-        return 4.0 / (3.0 * PI_SQUARED) * self.lam**1.5
-
-
 def eigenvalue_of_index(cuboid: Cuboid, i1: int, i2: int, i3: int) -> float:
     """Eigenvalue of the mode with lattice index ``(i1, i2, i3)``."""
     if i1 < 1 or i2 < 1 or i3 < 1:
         raise ValueError(f"indices must be >= 1, got ({i1}, {i2}, {i3})")
     q1, q2, q3 = cuboid.inv_sq
     return PI_SQUARED * ((i1 * i1) * q1 + (i2 * i2) * q2 + (i3 * i3) * q3)
-
-
-def cube_upper_bound(k: int) -> float:
-    """Upper bound 3*pi^2*k^2 for the k-th eigenvalue of the unit cube."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return 3.0 * PI_SQUARED * k * k
 
 
 # ---------------------------------------------------------------------------
@@ -242,32 +220,35 @@ def _slice_width(rem: float, q2: float) -> int:
     return int(math.sqrt(max(rem, 0.0) / q2)) + 2
 
 
-def _octant_count(inv: tuple[float, float, float], lam_eff: float) -> int:
-    """N in blocks of consecutive i1 slices.
+def _octant_blocks(
+    inv: tuple[float, float, float], lam_eff: float, cap: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The octant below ``lam_eff`` in blocks of consecutive i1 slices.
 
     A block is the rectangle of rows i1 .. i1+rows-1 by columns i2 = 1 ..
     width, with width the sqrt estimate for its first (widest) row.  Flattened
-    row by row it starts at its smallest c, and one ``_nmax_vec`` call counts
+    row by row it starts at its smallest c, so one ``_nmax_vec`` call counts
     the i3 points of all its columns.  A slice that alone fills a block is
-    cut into pieces of ``_BLOCK`` columns.  If the first row's last column is
-    not empty, the estimate fell short for every row: the block goes on with
-    the next columns.
+    cut into pieces of ``_BLOCK`` columns.  If the first row's last column
+    holds a point, the estimate fell short for every row: the block goes on
+    with the next columns.  Yields, per piece, its rows t1 and columns t2 (as
+    floats) and the flat c = t1^2*q1 + t2^2*q2 of its columns.  A slice wider
+    than ``cap`` columns raises :class:`ResourceLimitError`.
     """
     q1, q2, q3 = inv
     top = lam_eff / PI_SQUARED
     last = int(math.sqrt(max((top - q2 - q3) / q1, 0.0))) + 1
-    total = 0
     i1 = 1
     while True:
         c1 = float(i1 * i1) * q1
-        if PI_SQUARED * (c1 + q2 + q3) > lam_eff:
-            return total
         width = _slice_width(top - c1 - q3, q2)
-        if width > DEFAULT_CANDIDATE_CAP:
+        if width > cap:
             raise ResourceLimitError(
-                f"a slice below lambda={lam_eff:.6g} spans more than "
-                f"{DEFAULT_CANDIDATE_CAP} columns (the candidate cap)"
+                f"a slice below lambda={lam_eff:.6g} spans more than {cap} columns "
+                "(the candidate cap)"
             )
+        if PI_SQUARED * (c1 + q2 + q3) > lam_eff:
+            return
         rows = max(1, min(_block_columns(c1 + q2, q3, lam_eff) // width, last + 1 - i1))
         t1 = np.arange(i1, i1 + rows, dtype=np.float64)
         row_c = ((t1 * t1) * q1)[:, None]
@@ -275,10 +256,12 @@ def _octant_count(inv: tuple[float, float, float], lam_eff: float) -> int:
         lo = 1
         while lo <= width:
             t2 = np.arange(lo, min(lo + step, width + 1), dtype=np.float64)
-            g = _nmax_vec((row_c + (t2 * t2) * q2).ravel(), q3, lam_eff)
-            total += int(g.sum())
+            c = (row_c + (t2 * t2) * q2).ravel()
+            yield t1, t2, c
             lo += len(t2)
-            if lo > width and g[len(t2) - 1] != 0:
+            # The first row's last column holds a point iff it holds i3 = 1,
+            # whose term (1.0*1.0)*q3 is q3.
+            if lo > width and PI_SQUARED * (float(c[len(t2) - 1]) + q3) <= lam_eff:
                 width *= 2
         i1 += rows
 
@@ -290,7 +273,7 @@ def _octant_band(
 
     Returns the number of points with eigenvalue <= ``lo_eff``, and the
     eigenvalues (unsorted) of the points in the band with a (3, n) array of
-    their (i1, i2, i3).  The blocks are those of ``_octant_count`` at
+    their (i1, i2, i3).  The blocks are those of ``_octant_blocks`` at
     ``hi_eff``; one ``_nmax_vec`` call per block counts each column's i3
     points at both edges, or at ``hi_eff`` alone when the block lies wholly
     above ``lo_eff``.  Each value is computed with the float64 operations of
@@ -298,61 +281,37 @@ def _octant_band(
     slice wider than ``cap`` columns, or more than ``cap`` points in the band,
     raises :class:`ResourceLimitError` before any point array exists.
     """
-    q1, q2, q3 = inv
-    top = hi_eff / PI_SQUARED
-    last = int(math.sqrt(max((top - q2 - q3) / q1, 0.0))) + 1
+    q3 = inv[2]
     below = size = 0
     # Per block piece, for its columns with a point in the band: c12, the
     # band's count and (i1, i2, the column's first i3 in the band).
     c12s, counts, cols = [], [], []
-    i1 = 1
-    while True:
-        c1 = float(i1 * i1) * q1
-        width = _slice_width(top - c1 - q3, q2)
-        if width > cap:
+    for t1, t2, c in _octant_blocks(inv, hi_eff, cap):
+        # The piece's first column holds its lowest point.
+        if PI_SQUARED * (float(c[0]) + q3) <= lo_eff:
+            n = len(c)
+            g = _nmax_vec(np.concatenate((c, c)), q3, np.repeat((hi_eff, lo_eff), n))
+            floor = g[n:]
+            below += int(floor.sum())
+            count = g[:n] - floor
+        else:
+            count = _nmax_vec(c, q3, hi_eff)
+            floor = 0
+        size += int(count.sum())
+        if size > cap:
             raise ResourceLimitError(
-                f"a slice below lambda={hi_eff:.6g} spans more than {cap} columns "
-                "(the candidate cap)"
+                f"band ({lo_eff:.6g}, {hi_eff:.6g}] holds more than "
+                f"{cap} candidates (the candidate cap)"
             )
-        if PI_SQUARED * (c1 + q2 + q3) > hi_eff:
-            break
-        rows = max(1, min(_block_columns(c1 + q2, q3, hi_eff) // width, last + 1 - i1))
-        t1 = np.arange(i1, i1 + rows, dtype=np.float64)
-        row_c = ((t1 * t1) * q1)[:, None]
-        step = _BLOCK // rows
-        lo = 1
-        while lo <= width:
-            t2 = np.arange(lo, min(lo + step, width + 1), dtype=np.float64)
-            c = (row_c + (t2 * t2) * q2).ravel()
-            # The block's first column holds its lowest point.
-            if PI_SQUARED * (c1 + q2 + q3) <= lo_eff:
-                n = len(c)
-                g = _nmax_vec(np.concatenate((c, c)), q3, np.repeat((hi_eff, lo_eff), n))
-                g, floor = g[:n], g[n:]
-                below += int(floor.sum())
-                count = g - floor
-            else:
-                g = count = _nmax_vec(c, q3, hi_eff)
-                floor = 0
-            size += int(count.sum())
-            if size > cap:
-                raise ResourceLimitError(
-                    f"band ({lo_eff:.6g}, {hi_eff:.6g}] holds more than "
-                    f"{cap} candidates (the candidate cap)"
-                )
-            col = np.empty((3, rows, len(t2)), dtype=np.int64)
-            col[0] = t1[:, None]
-            col[1] = t2
-            col = col.reshape(3, -1)
-            col[2] = floor + 1
-            nz = count.nonzero()[0]
-            c12s.append(c[nz])
-            counts.append(count[nz])
-            cols.append(col[:, nz])
-            lo += len(t2)
-            if lo > width and g[len(t2) - 1] != 0:
-                width *= 2
-        i1 += rows
+        col = np.empty((3, len(t1), len(t2)), dtype=np.int64)
+        col[0] = t1[:, None]
+        col[1] = t2
+        col = col.reshape(3, -1)
+        col[2] = floor + 1
+        nz = count.nonzero()[0]
+        c12s.append(c[nz])
+        counts.append(count[nz])
+        cols.append(col[:, nz])
     if not cols:
         return below, np.empty(0), np.empty((3, 0), dtype=np.int64)
     # Column j holds the band's i3 = col[2, j] .. col[2, j] + count[j] - 1.
@@ -370,30 +329,6 @@ def _octant_band(
     values += t3
     values *= PI_SQUARED
     return below, values, triples
-
-
-# Integer path for the unit cube: the predicate reduces exactly to
-# i1^2 + i2^2 + i3^2 <= m with m below.
-
-
-def _cube_cutoff(lam_eff: float) -> int:
-    m = max(int(lam_eff / PI_SQUARED), 0)
-    while PI_SQUARED * float(m + 1) <= lam_eff:
-        m += 1
-    while m > 0 and PI_SQUARED * float(m) > lam_eff:
-        m -= 1
-    return m
-
-
-def _cube_octant_count(m: int) -> int:
-    if m < 3:
-        return 0
-    total = 0
-    for i1 in range(1, math.isqrt(m - 2) + 1):
-        r1 = m - i1 * i1
-        for i2 in range(1, math.isqrt(r1 - 1) + 1):
-            total += math.isqrt(r1 - i2 * i2)
-    return total
 
 
 def _cube_octant_hist(m: int) -> np.ndarray:
@@ -420,9 +355,11 @@ def count_upto(cuboid: Cuboid, lam: float) -> int:
     if lam < 0.0 or not math.isfinite(lam):
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     lam_eff = lam * (1.0 + COUNT_EPS)
-    if cuboid.is_cube:
-        return _cube_octant_count(_cube_cutoff(lam_eff))
-    return _octant_count(cuboid.inv_sq, lam_eff)
+    q3 = cuboid.inv_sq[2]
+    total = 0
+    for _, _, c in _octant_blocks(cuboid.inv_sq, lam_eff, DEFAULT_CANDIDATE_CAP):
+        total += int(_nmax_vec(c, q3, lam_eff).sum())
+    return total
 
 
 def _weyl_guess(cuboid: Cuboid, k: int) -> float:

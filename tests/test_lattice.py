@@ -9,18 +9,16 @@ from eigenbox.lattice import (
     count_bundle,
     count_full,
     count_plane,
-    cube_multiplicity,
     divisor_count,
-    gauss_circle_count,
     gauss_sphere_count,
     r2,
     r2_batch,
     r3,
-    sphere_counts_upto,
 )
 from eigenbox.spectrum import COUNT_EPS, PI_SQUARED, Cuboid, UNIT_CUBE, count_upto
 
 from conftest import pool_cuboids
+from latticeoracle import cube_multiplicity, sphere_counts_upto
 
 PI2 = PI_SQUARED
 
@@ -158,11 +156,6 @@ class TestCountBundle:
 
 
 class TestGaussCounts:
-    def test_circle_examples(self):
-        assert gauss_circle_count(0) == 1
-        assert gauss_circle_count(1) == 5
-        assert gauss_circle_count(2) == 13
-
     def test_sphere_examples(self):
         assert gauss_sphere_count(0) == 1
         assert gauss_sphere_count(1) == 7
@@ -183,13 +176,10 @@ class TestGaussCounts:
     def test_float_radius_roundtrip(self):
         for m in (2, 3, 5, 7, 10, 48, 99):
             assert gauss_sphere_count(math.sqrt(m)) == gauss_sphere_count_int(m)
-            assert gauss_circle_count(math.sqrt(m)) == sum(
-                brute_r2(n) for n in range(0, m + 1)
-            )
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            gauss_circle_count(-1.0)
+            gauss_sphere_count(-1.0)
 
 
 def gauss_sphere_count_int(m):

@@ -10,7 +10,6 @@ from eigenbox.optimize import (
     OptimalRecord,
     OptimizerConfig,
     SearchBox,
-    objective,
     _pool_size,
     optimize_k,
     rate_fit,
@@ -47,31 +46,6 @@ class TestSearchBox:
         lo, hi = box.a2_bounds(0.25)
         assert lo == 0.25 and hi == 2.0
         assert box.a3_cap <= 319.0
-
-    def test_contains(self):
-        box = SearchBox()
-        assert box.contains(1.0, 1.0)
-        assert box.contains(0.5, 1.2)
-        assert not box.contains(0.01, 0.5)
-        assert not box.contains(0.5, 0.4)
-        assert not box.contains(0.5, 1.5)
-
-
-class TestObjective:
-    def test_cube(self):
-        assert objective(1, 1.0, 1.0) == pytest.approx(3 * PI2, rel=1e-15)
-
-    def test_flat_box(self):
-        assert objective(1, 0.5, 1.0) == pytest.approx(5.25 * PI2, rel=1e-15)
-
-    def test_cube_k2(self):
-        assert objective(2, 1.0, 1.0) == pytest.approx(6 * PI2, rel=1e-15)
-
-    def test_rejects_out_of_box(self):
-        with pytest.raises(ValueError):
-            objective(1, 0.01, 1.0)
-        with pytest.raises(ValueError):
-            objective(0, 1.0, 1.0)
 
 
 class TestOptimizeK:

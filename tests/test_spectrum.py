@@ -10,12 +10,10 @@ from eigenbox.spectrum import (
     DEGENERACY_RTOL,
     PI_SQUARED,
     Cuboid,
-    EllipsoidSpec,
     ResourceLimitError,
     UNIT_CUBE,
     count_upto,
     cube_spectrum_table,
-    cube_upper_bound,
     eigenvalue_of_index,
     kth_eigenvalue,
     spectrum_points,
@@ -310,18 +308,6 @@ class TestSpectrumPoints:
             assert sum(p.multiplicity for p in points) >= 25
 
 
-class TestCubeUpperBound:
-    def test_values(self):
-        assert cube_upper_bound(1) == pytest.approx(3 * PI2)
-        assert cube_upper_bound(2) == pytest.approx(12 * PI2)
-        assert cube_upper_bound(10) == pytest.approx(300 * PI2)
-
-    def test_dominates_cube_spectrum(self):
-        table_m, _, _ = cube_spectrum_table(500)
-        for k in (1, 2, 10, 100, 500):
-            assert PI2 * table_m[k] <= cube_upper_bound(k)
-
-
 class TestCubeSpectrumTable:
     def test_first_levels(self):
         table_m, table_theta, table_count = cube_spectrum_table(8)
@@ -357,13 +343,3 @@ class TestDomainMonotonicity:
             before = raw_sorted(base, 12)
             after = raw_sorted(tuple(shrunk), 12)
             assert all(b <= a + 1e-12 for b, a in zip(before, after))
-
-
-class TestEllipsoidSpec:
-    def test_volume_consistency(self, cuboid_pool):
-        for c in cuboid_pool:
-            for lam in (10.0, 123.4, 9999.0):
-                e = EllipsoidSpec(lam=lam, cuboid=c)
-                r1, r2_, r3_ = e.semi_axes
-                direct = 4.0 * math.pi / 3.0 * r1 * r2_ * r3_
-                assert direct == pytest.approx(e.volume, rel=1e-12)
