@@ -41,6 +41,7 @@ from .spectrum import (
     SpectralPoint,
     UNIT_CUBE,
     count_upto,
+    counts_upto,
     cube_spectrum_table,
     eigenvalue_of_index,
     kth_eigenvalue,

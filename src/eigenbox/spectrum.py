@@ -10,7 +10,9 @@ counters in the package share.
 ``count_upto`` counts the octant in blocked numpy passes: a block is a run
 of consecutive i1 slices, at most ``_BLOCK`` (i1, i2) columns, whose i3
 points one vector kernel call counts, so numpy's dispatch is paid per block
-rather than per slice and memory stays flat in lambda.  The unit cube takes
+rather than per slice and memory stays flat in lambda.  ``counts_upto``
+counts many lambda in one walk, below the largest: its kernel call counts
+each block at every lambda.  The unit cube takes
 the same path: its sums are exact integers below 2^53, so the predicate
 gives the integer count.  Only the cube's full-lattice (T), plane and
 quadrant counts in :mod:`eigenbox.lattice` and ``cube_spectrum_table`` stay
@@ -26,7 +28,7 @@ bounds how many points the band may hold.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -174,13 +176,14 @@ def _nmax_scalar(c: float, q: float, lam_eff: float) -> int:
 
 
 def _nmax_vec(c: np.ndarray, q: float, lam_eff: float | np.ndarray) -> np.ndarray:
-    """_nmax_scalar for each entry of the flat array ``c`` (and of
-    ``lam_eff``, if an array), whose first entry must have the largest guess:
-    the smallest c, at the largest lam_eff."""
+    """_nmax_scalar for each entry of the flat array ``c``, at the scalar
+    ``lam_eff`` (counts of shape (n,)) or at each row of the (m, 1) column
+    ``lam_eff`` (counts of shape (m, n)).  The first guess must be the
+    largest: c starts at its smallest entry and lam_eff at its largest."""
     guess = np.sqrt(np.maximum((lam_eff / PI_SQUARED - c) / q, 0.0))
-    # guess[0] is the largest, so this also bounds the sum of the counts,
-    # which callers take in int64.
-    if guess[0] * len(c) > _NMAX_LIMIT:
+    # guess.item(0) is the largest, so this also bounds each row's sum of
+    # counts, which callers take in int64.
+    if guess.item(0) * len(c) > _NMAX_LIMIT:
         raise _unresolved(lam_eff)
     g = guess.astype(np.int64)
     for _ in range(_MAX_STEPS):
@@ -289,11 +292,10 @@ def _octant_band(
     for t1, t2, c in _octant_blocks(inv, hi_eff, cap):
         # The piece's first column holds its lowest point.
         if PI_SQUARED * (float(c[0]) + q3) <= lo_eff:
-            n = len(c)
-            g = _nmax_vec(np.concatenate((c, c)), q3, np.repeat((hi_eff, lo_eff), n))
-            floor = g[n:]
+            g = _nmax_vec(c, q3, np.array([[hi_eff], [lo_eff]]))
+            floor = g[1]
             below += int(floor.sum())
-            count = g[:n] - floor
+            count = g[0] - floor
         else:
             count = _nmax_vec(c, q3, hi_eff)
             floor = 0
@@ -346,20 +348,48 @@ def _cube_octant_hist(m: int) -> np.ndarray:
     return hist
 
 
+def counts_upto(cuboid: Cuboid, lams: Sequence[float]) -> list[int]:
+    """``count_upto`` at every lambda of ``lams``, in their order.
+
+    One walk of the octant below the largest lambda counts them all: one
+    ``_nmax_vec`` call per block piece counts its columns at each lambda,
+    largest first.
+    """
+    for lam in lams:
+        if lam < 0.0 or not math.isfinite(lam):
+            raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    m = len(lams)
+    if m == 0:
+        return []
+    inv = cuboid.inv_sq
+    q3 = inv[2]
+    if m == 1:
+        # One lambda is counted at a scalar edge: sorting and a column of
+        # edges would cost a single count about 7 % more.
+        lam_eff = lams[0] * (1.0 + COUNT_EPS)
+        total = 0
+        for _, _, c in _octant_blocks(inv, lam_eff, DEFAULT_CANDIDATE_CAP):
+            total += int(_nmax_vec(c, q3, lam_eff).sum())
+        return [total]
+    order = sorted(range(m), key=lams.__getitem__, reverse=True)
+    rows = np.array([[lams[i]] for i in order]) * (1.0 + COUNT_EPS)
+    totals = [0] * m
+    for _, _, c in _octant_blocks(inv, rows.item(0), DEFAULT_CANDIDATE_CAP):
+        sums = _nmax_vec(c, q3, rows).sum(axis=1).tolist()
+        totals = [t + s for t, s in zip(totals, sums)]
+    counts = [0] * m
+    for i, total in zip(order, totals):
+        counts[i] = total
+    return counts
+
+
 def count_upto(cuboid: Cuboid, lam: float) -> int:
     """Number of eigenvalues (with multiplicity) at most ``lam``.
 
     Equals the number of positive lattice triples inside the closed ellipsoid
     E(lam); counting is inclusive at the boundary within ``COUNT_EPS``.
     """
-    if lam < 0.0 or not math.isfinite(lam):
-        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    lam_eff = lam * (1.0 + COUNT_EPS)
-    q3 = cuboid.inv_sq[2]
-    total = 0
-    for _, _, c in _octant_blocks(cuboid.inv_sq, lam_eff, DEFAULT_CANDIDATE_CAP):
-        total += int(_nmax_vec(c, q3, lam_eff).sum())
-    return total
+    return counts_upto(cuboid, (lam,))[0]
 
 
 def _weyl_guess(cuboid: Cuboid, k: int) -> float:
@@ -392,9 +422,15 @@ def _band(
     value.
     """
     guess = _weyl_guess(cuboid, k)
-    # The guess's relative error shrinks like k^(-1/3).  Capped at 1, the margin
-    # holds 9k points at k = 1 on the thinnest domain box (27k uncapped).
-    down = up = min(2.0 * k ** (-1.0 / 3.0), 1.0)
+    # The guess's relative error shrinks like k^(-1/3).  Over the search
+    # domain the k-th eigenvalue lies at most about 69 % above the guess
+    # (k = 1, on the box with a1 = a1_lower_bound() and a2 = a3), so capped
+    # at 0.75 above it the first band holds the k-th eigenvalue on every
+    # domain box and at most 8k points on the thinnest one (9k capped at 1).
+    # Below the guess the cap stays 1, which puts lo at 0 for k <= 8: a band
+    # from 0 needs no floor counts.
+    down = min(2.0 * k ** (-1.0 / 3.0), 1.0)
+    up = min(down, 0.75)
     while True:
         lo = 0.0 if from_zero else max(guess * (1.0 - down), 0.0)
         hi = guess * (1.0 + up)

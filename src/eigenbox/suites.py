@@ -25,7 +25,7 @@ from .bounds import (
 from .spectrum import (
     PI_SQUARED,
     Cuboid,
-    count_upto,
+    counts_upto,
     cube_spectrum_table,
     kth_eigenvalue,
 )
@@ -95,13 +95,13 @@ def lemma41_suite(
     reports = []
     for _ in range(n_cuboids):
         c = sample_cuboid(rng)
-        for _ in range(lam_per_cuboid):
-            lam = rng.uniform(0.0, lam_max)
+        lams = [rng.uniform(0.0, lam_max) for _ in range(lam_per_cuboid)]
+        for lam, n in zip(lams, counts_upto(c, lams)):
             reports.append(
                 BoundReport(
                     "lemma41",
                     {"a1": c.a1, "a2": c.a2, "a3": c.a3, "lam": lam},
-                    float(count_upto(c, lam)),
+                    float(n),
                     lemma41_rhs(c, lam),
                 )
             )

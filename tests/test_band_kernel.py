@@ -131,7 +131,8 @@ def ref_octant_band(inv, lo_eff, hi_eff, cap):
 
 def ref_sorted_band(cuboid, k, cap, from_zero):
     guess = _weyl_guess(cuboid, k)
-    down = up = min(2.0 * k ** (-1.0 / 3.0), 1.0)
+    down = min(2.0 * k ** (-1.0 / 3.0), 1.0)
+    up = min(down, 0.75)
     while True:
         lo = 0.0 if from_zero else max(guess * (1.0 - down), 0.0)
         hi = guess * (1.0 + up)
@@ -265,7 +266,7 @@ def test_small_k_equals_matrix_oracle(cuboid):
     "sides, k, cap",
     [
         ((0.05, 1.0), 8, 500),  # band cap
-        ((0.05, 1.0), 1, 10),  # the first slice's 11 columns
+        ((0.05, 1.0), 1, 10),  # band cap; the first slice spans 8 columns
         ((0.05, 1.0), 300, 1000),  # band cap on the widened band: 32, then 1406 points
         ((0.7, 0.9), 1, 1),  # any slice spans two columns
     ],
@@ -281,8 +282,8 @@ def test_cap_messages_equal_reference(sides, k, cap):
 
 def test_caps_are_exact():
     # A band of exactly cap points passes and one more raises; the first
-    # slice of (0.05, 1) at k = 1 spans 11 columns, so a cap of 11 passes the
-    # column check and falls to the band cap, and 10 does not.
+    # slice of (0.05, 1) at k = 1 spans 8 columns, so a cap of 8 passes the
+    # column check and falls to the band cap, and 7 does not.
     box = Cuboid.from_sides(0.7, 0.9)
     size = len(spectrum._band(box, 64, DEFAULT_CANDIDATE_CAP, from_zero=False)[0])
     assert kth_eigenvalue(box, 64, size) == ref_kth(box, 64, size)
@@ -290,9 +291,9 @@ def test_caps_are_exact():
         kth_eigenvalue(box, 64, size - 1)
     thin = Cuboid.from_sides(0.05, 1.0)
     with pytest.raises(ResourceLimitError, match=r"^band "):
-        kth_eigenvalue(thin, 1, 11)
-    with pytest.raises(ResourceLimitError, match=r"^a slice .* more than 10 columns"):
-        kth_eigenvalue(thin, 1, 10)
+        kth_eigenvalue(thin, 1, 8)
+    with pytest.raises(ResourceLimitError, match=r"^a slice .* more than 7 columns"):
+        kth_eigenvalue(thin, 1, 7)
 
 
 class _Stop(Exception):
