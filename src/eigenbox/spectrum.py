@@ -353,7 +353,8 @@ def counts_upto(cuboid: Cuboid, lams: Sequence[float]) -> list[int]:
 
     One walk of the octant below the largest lambda counts them all: one
     ``_nmax_vec`` call per block piece counts its columns at each lambda,
-    largest first.
+    largest first, or at each run of lambda that keeps the call within
+    ``_BLOCK`` counts.
     """
     for lam in lams:
         if lam < 0.0 or not math.isfinite(lam):
@@ -375,7 +376,12 @@ def counts_upto(cuboid: Cuboid, lams: Sequence[float]) -> list[int]:
     rows = np.array([[lams[i]] for i in order]) * (1.0 + COUNT_EPS)
     totals = [0] * m
     for _, _, c in _octant_blocks(inv, rows.item(0), DEFAULT_CANDIDATE_CAP):
-        sums = _nmax_vec(c, q3, rows).sum(axis=1).tolist()
+        # At most _BLOCK counts per kernel call, so that memory stays flat in
+        # the number of lambda too.
+        step = max(1, _BLOCK // len(c))
+        sums = []
+        for r in range(0, m, step):
+            sums += _nmax_vec(c, q3, rows[r : r + step]).sum(axis=1).tolist()
         totals = [t + s for t, s in zip(totals, sums)]
     counts = [0] * m
     for i, total in zip(order, totals):
