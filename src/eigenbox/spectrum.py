@@ -352,38 +352,23 @@ def counts_upto(cuboid: Cuboid, lams: Sequence[float]) -> list[int]:
     """``count_upto`` at every lambda of ``lams``, in their order.
 
     One walk of the octant below the largest lambda counts them all: one
-    ``_nmax_vec`` call per block piece counts its columns at each lambda,
-    largest first, or at each run of lambda that keeps the call within
-    ``_BLOCK`` counts.
+    ``_nmax_vec`` call per block piece counts its columns at every lambda,
+    largest first.  That call holds len(lams) rows of up to ``_BLOCK``
+    counts, so its memory grows with the number of lambda.
     """
     for lam in lams:
         if lam < 0.0 or not math.isfinite(lam):
             raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    m = len(lams)
-    if m == 0:
+    if not lams:
         return []
-    inv = cuboid.inv_sq
-    q3 = inv[2]
-    if m == 1:
-        # One lambda is counted at a scalar edge: sorting and a column of
-        # edges would cost a single count about 7 % more.
-        lam_eff = lams[0] * (1.0 + COUNT_EPS)
-        total = 0
-        for _, _, c in _octant_blocks(inv, lam_eff, DEFAULT_CANDIDATE_CAP):
-            total += int(_nmax_vec(c, q3, lam_eff).sum())
-        return [total]
-    order = sorted(range(m), key=lams.__getitem__, reverse=True)
+    order = sorted(range(len(lams)), key=lams.__getitem__, reverse=True)
     rows = np.array([[lams[i]] for i in order]) * (1.0 + COUNT_EPS)
-    totals = [0] * m
-    for _, _, c in _octant_blocks(inv, rows.item(0), DEFAULT_CANDIDATE_CAP):
-        # At most _BLOCK counts per kernel call, so that memory stays flat in
-        # the number of lambda too.
-        step = max(1, _BLOCK // len(c))
-        sums = []
-        for r in range(0, m, step):
-            sums += _nmax_vec(c, q3, rows[r : r + step]).sum(axis=1).tolist()
+    q3 = cuboid.inv_sq[2]
+    totals = [0] * len(lams)
+    for _, _, c in _octant_blocks(cuboid.inv_sq, rows.item(0), DEFAULT_CANDIDATE_CAP):
+        sums = _nmax_vec(c, q3, rows).sum(axis=1).tolist()
         totals = [t + s for t, s in zip(totals, sums)]
-    counts = [0] * m
+    counts = [0] * len(lams)
     for i, total in zip(order, totals):
         counts[i] = total
     return counts
@@ -395,7 +380,14 @@ def count_upto(cuboid: Cuboid, lam: float) -> int:
     Equals the number of positive lattice triples inside the closed ellipsoid
     E(lam); counting is inclusive at the boundary within ``COUNT_EPS``.
     """
-    return counts_upto(cuboid, (lam,))[0]
+    if lam < 0.0 or not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    lam_eff = lam * (1.0 + COUNT_EPS)
+    q3 = cuboid.inv_sq[2]
+    total = 0
+    for _, _, c in _octant_blocks(cuboid.inv_sq, lam_eff, DEFAULT_CANDIDATE_CAP):
+        total += int(_nmax_vec(c, q3, lam_eff).sum())
+    return total
 
 
 def _weyl_guess(cuboid: Cuboid, k: int) -> float:
@@ -433,10 +425,14 @@ def _band(
     # (k = 1, on the box with a1 = a1_lower_bound() and a2 = a3), so capped
     # at 0.75 above it the first band holds the k-th eigenvalue on every
     # domain box and at most 8k points on the thinnest one (9k capped at 1).
-    # Below the guess the cap stays 1, which puts lo at 0 for k <= 8: a band
-    # from 0 needs no floor counts.
-    down = min(2.0 * k ** (-1.0 / 3.0), 1.0)
-    up = min(down, 0.75)
+    # Off the domain it can miss (lambda_1 / guess tends to 16/9 as a1 -> 0
+    # with a2 = a3); a miss widens it to the margin capped at 1, and only
+    # then doubles, so no band is wider than that margin's would be.  Below
+    # the guess the cap stays 1, which puts lo at 0 for k <= 8: a band from
+    # 0 needs no floor counts.
+    margin = min(2.0 * k ** (-1.0 / 3.0), 1.0)
+    down = margin
+    up = min(margin, 0.75)
     while True:
         lo = 0.0 if from_zero else max(guess * (1.0 - down), 0.0)
         hi = guess * (1.0 + up)
@@ -446,7 +442,7 @@ def _band(
         if j < 0 or value * (1.0 - DEGENERACY_RTOL) <= lo:
             down *= 2.0
         elif j >= len(values) or value * (1.0 + DEGENERACY_RTOL) > hi:
-            up *= 2.0
+            up = margin if up < margin else 2.0 * up
         else:
             return values, triples, value
 

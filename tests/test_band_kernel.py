@@ -131,8 +131,9 @@ def ref_octant_band(inv, lo_eff, hi_eff, cap):
 
 def ref_sorted_band(cuboid, k, cap, from_zero):
     guess = _weyl_guess(cuboid, k)
-    down = min(2.0 * k ** (-1.0 / 3.0), 1.0)
-    up = min(down, 0.75)
+    margin = min(2.0 * k ** (-1.0 / 3.0), 1.0)
+    down = margin
+    up = min(margin, 0.75)
     while True:
         lo = 0.0 if from_zero else max(guess * (1.0 - down), 0.0)
         hi = guess * (1.0 + up)
@@ -143,7 +144,7 @@ def ref_sorted_band(cuboid, k, cap, from_zero):
         if j < 0 or (j < len(values) and values[j] * (1.0 - DEGENERACY_RTOL) <= lo):
             down *= 2.0
         elif j >= len(values) or values[j] * (1.0 + DEGENERACY_RTOL) > hi:
-            up *= 2.0
+            up = margin if up < margin else 2.0 * up
         else:
             return below, values, rows, order
 

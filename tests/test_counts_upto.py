@@ -7,7 +7,6 @@ the lambda came, also when blocks are cut small or every block must widen.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,19 +118,6 @@ def test_refuses_what_count_upto_refuses():
     # points each: only the bound on the largest row's sum refuses it.
     with pytest.raises(ResourceLimitError):
         counts_upto(Cuboid.from_sides(1e-3, 3e-3), [1e3, 1e14])
-
-
-def test_memory_is_flat_in_the_number_of_lambda():
-    # Blocks of 16384 columns; counted at all 64 lambda in one kernel call
-    # they would take 8 MiB an array.
-    lams = [1e6 * (1.0 - i / 128) for i in range(64)]
-    tracemalloc.start()
-    try:
-        counts_upto(Cuboid.from_sides(0.7, 0.9), lams)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])

@@ -240,6 +240,18 @@ class TestKthEigenvalue:
         with pytest.raises(ResourceLimitError):
             kth_eigenvalue(Cuboid.from_sides(1e-3, 1.0), 1, candidate_cap=100_000)
 
+    def test_band_missing_above_widens_to_the_margin_of_one(self):
+        # Off the search domain, lambda_1 of this box lies 76 % above the Weyl
+        # guess, past the first band's 0.75 margin.  The next band runs to
+        # twice the guess (13,412 points), not to 2.5 times it (41,228), so
+        # a cap of 13,412 holds it.
+        box = Cuboid.from_sides(0.02, 50.0**0.5)
+        p = kth_eigenvalue(box, 1, candidate_cap=13_412)
+        assert p.value == pytest.approx(PI2 * sum(box.inv_sq), rel=1e-15)
+        assert p.indices == ((1, 1, 1),)
+        with pytest.raises(ResourceLimitError, match=r"^band \(0, "):
+            kth_eigenvalue(box, 1, candidate_cap=13_411)
+
     @given(cuboid=domain_cuboids(), k=st.integers(1, 300))
     @example(cuboid=UNIT_CUBE, k=2)
     @example(cuboid=UNIT_CUBE, k=300)
