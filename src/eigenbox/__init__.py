@@ -7,7 +7,6 @@ from .bounds import (
     BoundReport,
     a1_lower_bound,
     cube_eigenvalue_bound,
-    delta_from_am_gm,
     lemma31_rhs,
     lemma32_rhs,
     lemma41_rhs,

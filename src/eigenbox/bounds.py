@@ -139,37 +139,3 @@ def polya_lower_bound(k: int) -> float:
         raise ValueError(f"k must be >= 1, got {k}")
     return (6.0 * PI_SQUARED * k) ** (2.0 / 3.0)
 
-
-def delta_from_am_gm(a3_star: float, budget: float) -> BoundReport:
-    """Check 2*sqrt(a3) + 1/a3 <= 3 + budget for the longest optimal side.
-
-    ``budget`` is the excess (1/a1 + 1/a2 + 1/a3) - 3 of the same box.  The
-    report also verifies the quadratic minorant
-    (1+d)^(3/2) >= 1 + (3/2) d + (3/160) d^2 at d = a3 - 1, which is valid
-    precisely for d <= 399; larger boxes are rejected.
-    """
-    if a3_star < 1.0 - 1e-12:
-        raise ValueError(f"a3 must be >= 1, got {a3_star}")
-    if a3_star > 400.0:
-        raise ValueError(
-            f"a3 = {a3_star} exceeds 400, outside the minorant's validity range"
-        )
-    delta = a3_star - 1.0
-    if delta > 0.0:
-        minorant_slack = (1.0 + delta) ** 1.5 - (
-            1.0 + 1.5 * delta + (3.0 / 160.0) * delta * delta
-        )
-        if minorant_slack < -REPORT_EPS * max(1.0, (1.0 + delta) ** 1.5):
-            raise RuntimeError(
-                f"quadratic minorant violated at delta={delta}: {minorant_slack}"
-            )
-    else:
-        minorant_slack = 0.0
-    lhs = 2.0 * math.sqrt(a3_star) + 1.0 / a3_star
-    rhs = 3.0 + budget
-    return BoundReport(
-        "am_gm_delta",
-        {"a3_star": a3_star, "budget": budget, "minorant_slack": minorant_slack},
-        lhs,
-        rhs,
-    )

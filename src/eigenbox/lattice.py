@@ -8,6 +8,10 @@ The signed counters here share the membership predicate of
     T = 8*N + 4*(T+_x1 + T+_x2 + T+_x3) + 2*(f1 + f2 + f3) + 1
 
 is an exact integer identity between independently enumerated counts.
+Every box, the unit cube included, takes the same float counters: the
+cube's sums are exact integers below 2^53 and pi^2 * float(s) is monotone
+in s, so its counts are the integer counts.  Only ``cube_spectrum_table``
+in :mod:`eigenbox.spectrum` stays in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .spectrum import (
     PI_SQUARED,
     Cuboid,
     ResourceLimitError,
+    UNIT_CUBE,
     _BLOCK,
     _block_columns,
     _nmax_scalar,
@@ -135,50 +140,9 @@ def _check_lambda(lam: float, full_lattice: Cuboid | None = None) -> float:
     return lam * (1.0 + COUNT_EPS)
 
 
-# Integer kernels (unit cube and gauss_* counts): cutoff m, then per-slice
-# integer square roots.  Exact for any m.  On the unit cube the predicate
-# reduces exactly to x1^2 + x2^2 + x3^2 <= m with m from _cube_cutoff.
-
-
-def _cube_cutoff(lam_eff: float) -> int:
-    m = max(int(lam_eff / PI_SQUARED), 0)
-    while PI_SQUARED * float(m + 1) <= lam_eff:
-        m += 1
-    while m > 0 and PI_SQUARED * float(m) > lam_eff:
-        m -= 1
-    return m
-
-
-def _disc_points_m(m: int) -> int:
-    if m < 0:
-        return 0
-    total = 2 * math.isqrt(m) + 1
-    for x in range(1, math.isqrt(m) + 1):
-        total += 2 * (2 * math.isqrt(m - x * x) + 1)
-    return total
-
-
-def _sphere_points_m(m: int) -> int:
-    if m < 0:
-        return 0
-    total = _disc_points_m(m)
-    for z in range(1, math.isqrt(m) + 1):
-        total += 2 * _disc_points_m(m - z * z)
-    return total
-
-
-def _quadrant_points_m(m: int) -> int:
-    total = 0
-    for x in range(1, math.isqrt(m) + 1):
-        total += math.isqrt(m - x * x)
-    return total
-
-
 def count_full(cuboid: Cuboid, lam: float) -> int:
     """Integer lattice points (all signs and zeros) in the closed E(lam)."""
     lam_eff = _check_lambda(lam, full_lattice=cuboid)
-    if cuboid.is_cube:
-        return _sphere_points_m(_cube_cutoff(lam_eff))
     q1, q2, q3 = cuboid.inv_sq
     # Blocks of consecutive x1 slices: the rectangle of rows x1 .. x1+rows-1
     # by columns x2 = 0 .. width-1, width the extent of its first (widest)
@@ -226,8 +190,6 @@ def count_plane(cuboid: Cuboid, lam: float, axis: int) -> int:
     origin orthogonal to ``axis``."""
     lam_eff = _check_lambda(lam)
     qu, qv = _axis_pairs(cuboid.inv_sq, axis)
-    if cuboid.is_cube:
-        return _disc_points_m(_cube_cutoff(lam_eff))
     # The v line through u = 0, then the lines u = +-1 .. +-n inside E(lam).
     n = _nmax_scalar(0.0, qu, lam_eff)
     return 2 * _nmax_scalar(0.0, qv, lam_eff) + 1 + 2 * (2 * _line_sum(qu, qv, lam_eff, n) + n)
@@ -246,13 +208,6 @@ def count_bundle(cuboid: Cuboid, lam: float) -> CountBundle:
     """All counting quantities at ``lam``; fields are mutually consistent."""
     lam_eff = _check_lambda(lam, full_lattice=cuboid)
     n = count_upto(cuboid, lam)
-    if cuboid.is_cube:
-        m = _cube_cutoff(lam_eff)
-        t = _sphere_points_m(m)
-        t_plane = _disc_points_m(m)
-        tp = _quadrant_points_m(m)
-        f = math.isqrt(m)
-        return CountBundle(lam, n, t, t_plane, t_plane, t_plane, tp, tp, tp, f, f, f)
     inv = cuboid.inv_sq
     q1, q2, q3 = inv
     planes = [_axis_pairs(inv, axis) for axis in (1, 2, 3)]
@@ -295,8 +250,14 @@ def _radius_cutoff(r) -> int:
 
 
 def gauss_sphere_count(r) -> int:
-    """Number of integer triples with x1^2 + x2^2 + x3^2 <= r^2."""
-    return _sphere_points_m(_radius_cutoff(r))
+    """Number of integer triples with x1^2 + x2^2 + x3^2 <= r^2.
+
+    The full-lattice count of the unit cube at lambda = pi^2 m, m the cutoff
+    of r: exact, since the cube's float sums are exact integers.  Like
+    ``count_full`` it raises ResourceLimitError past DEFAULT_CANDIDATE_CAP
+    (x1, x2) columns, about (r + 1)^2, so for r above about 4,900.
+    """
+    return count_full(UNIT_CUBE, PI_SQUARED * _radius_cutoff(r))
 
 
 def r2(n: int) -> int:

@@ -12,16 +12,15 @@ of consecutive i1 slices, at most ``_BLOCK`` (i1, i2) columns, whose i3
 points one vector kernel call counts, so numpy's dispatch is paid per block
 rather than per slice and memory stays flat in lambda.  ``counts_upto``
 counts many lambda in one walk, below the largest: its kernel call counts
-each block at every lambda.  The unit cube takes
-the same path: its sums are exact integers below 2^53, so the predicate
-gives the integer count.  Only the cube's full-lattice (T), plane and
-quadrant counts in :mod:`eigenbox.lattice` and ``cube_spectrum_table`` stay
+each block at every lambda.  The unit cube takes the same path, here and in
+:mod:`eigenbox.lattice`: its sums are exact integers below 2^53, so the
+predicate gives the integer count.  Only ``cube_spectrum_table`` stays
 integer.  ``kth_eigenvalue`` and ``spectrum_points`` walk the same blocks
 through one band kernel, which counts each column's i3 points at both edges
 of a band (lo, hi] in one vector kernel call and returns the band's
-eigenvalues with their index triples.  The band sits around the two-term
-Weyl guess for lambda_k (from 0 for a spectrum) and widens until it holds
-the k-th eigenvalue and its ``DEGENERACY_RTOL`` window; ``candidate_cap``
+eigenvalues with their index triples.  The band sits around the two-term Weyl
+guess for lambda_k (from 0 for a spectrum) and widens until it holds the
+k-th eigenvalue and its ``DEGENERACY_RTOL`` window; ``candidate_cap``
 bounds how many points the band may hold.
 """
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import lattice
 from .bounds import (
@@ -30,15 +30,6 @@ from .spectrum import (
     kth_eigenvalue,
 )
 
-SUITE_NAMES = (
-    "lemma31",
-    "lemma32",
-    "lemma41",
-    "identity",
-    "cube-chain",
-    "polya",
-)
-
 OMEGA_3 = 4.0 * math.pi / 3.0
 
 
@@ -56,36 +47,29 @@ def _sample_query(rng: random.Random, n_choices: Iterable[int]) -> BoundQuery:
     return BoundQuery(y=y, a=a, n=n)
 
 
-def lemma31_suite(samples: int, seed: int = 0) -> list[BoundReport]:
+def _lemma_suite(
+    name: str,
+    n_choices: Iterable[int],
+    rhs: Callable[[BoundQuery], float],
+    samples: int,
+    seed: int,
+) -> list[BoundReport]:
     rng = random.Random(seed)
     reports = []
     for _ in range(samples):
-        q = _sample_query(rng, (1, 2))
+        q = _sample_query(rng, n_choices)
         reports.append(
-            BoundReport(
-                "lemma31",
-                {"y": q.y, "a": q.a, "n": q.n},
-                lemma_sum(q),
-                lemma31_rhs(q),
-            )
+            BoundReport(name, {"y": q.y, "a": q.a, "n": q.n}, lemma_sum(q), rhs(q))
         )
     return reports
+
+
+def lemma31_suite(samples: int, seed: int = 0) -> list[BoundReport]:
+    return _lemma_suite("lemma31", (1, 2), lemma31_rhs, samples, seed)
 
 
 def lemma32_suite(samples: int, seed: int = 0) -> list[BoundReport]:
-    rng = random.Random(seed)
-    reports = []
-    for _ in range(samples):
-        q = _sample_query(rng, range(1, 7))
-        reports.append(
-            BoundReport(
-                "lemma32",
-                {"y": q.y, "a": q.a, "n": q.n},
-                lemma_sum(q),
-                lemma32_rhs(q),
-            )
-        )
-    return reports
+    return _lemma_suite("lemma32", range(1, 7), lemma32_rhs, samples, seed)
 
 
 def lemma41_suite(
@@ -216,18 +200,21 @@ def remainder_constant_estimates(
     }
 
 
+# Each suite as a function of (samples, seed), in ``verify --suite all``
+# order; ``samples`` is the k range for cube-chain.
+_SUITES = {
+    "lemma31": lemma31_suite,
+    "lemma32": lemma32_suite,
+    "lemma41": lemma41_suite,
+    "identity": identity_suite,
+    "cube-chain": lambda samples, seed: cube_chain_suite(samples),
+    "polya": polya_suite,
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suite(name: str, samples: int, seed: int = 0) -> list[BoundReport]:
     """Dispatch one named suite; ``samples`` is the k range for cube-chain."""
-    if name == "lemma31":
-        return lemma31_suite(samples, seed)
-    if name == "lemma32":
-        return lemma32_suite(samples, seed)
-    if name == "lemma41":
-        return lemma41_suite(samples, seed)
-    if name == "identity":
-        return identity_suite(samples, seed)
-    if name == "cube-chain":
-        return cube_chain_suite(samples)
-    if name == "polya":
-        return polya_suite(samples, seed)
-    raise ValueError(f"unknown suite {name!r}")
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return _SUITES[name](samples, seed)

@@ -9,7 +9,6 @@ from eigenbox.bounds import (
     REPORT_EPS,
     a1_lower_bound,
     cube_eigenvalue_bound,
-    delta_from_am_gm,
     gamma_half,
     lemma31_rhs,
     lemma32_rhs,
@@ -198,36 +197,6 @@ class TestPolyaLowerBound:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             polya_lower_bound(0)
-
-
-class TestDeltaFromAmGm:
-    def test_cube_case_equality(self):
-        report = delta_from_am_gm(1.0, 0.0)
-        assert report.lhs == pytest.approx(3.0, rel=1e-15)
-        assert report.rhs == 3.0
-        assert report.passed
-
-    def test_minorant_at_validity_edge(self):
-        report = delta_from_am_gm(400.0, 1000.0)
-        slack = report.inputs["minorant_slack"]
-        assert slack == pytest.approx(8000.0 - (1.0 + 598.5 + (3 / 160) * 399.0**2), rel=1e-12)
-        assert slack > 0
-
-    def test_small_delta(self):
-        report = delta_from_am_gm(1.01, 1.0)
-        assert report.inputs["minorant_slack"] > 0
-        assert report.passed
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            delta_from_am_gm(401.0, 0.0)
-        with pytest.raises(ValueError):
-            delta_from_am_gm(0.5, 0.0)
-
-    def test_am_gm_holds_for_real_boxes(self, cuboid_pool):
-        for c in cuboid_pool:
-            budget = 1.0 / c.a1 + 1.0 / c.a2 + 1.0 / c.a3 - 3.0
-            assert delta_from_am_gm(c.a3, budget).passed
 
 
 class TestPolyaOnBoxes:
