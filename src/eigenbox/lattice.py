@@ -11,7 +11,7 @@ is an exact integer identity between independently enumerated counts.
 Every box, the unit cube included, takes the same float counters: the
 cube's sums are exact integers below 2^53 and pi^2 * float(s) is monotone
 in s, so its counts are the integer counts.  Only ``cube_spectrum_table``
-in :mod:`eigenbox.spectrum` stays in integer arithmetic.
+in :mod:`eigenbox.spectrum` still counts the cube in integer arithmetic.
 """
 
 from __future__ import annotations

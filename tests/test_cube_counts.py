@@ -107,8 +107,8 @@ def test_large_levels_match_integer_count(m):
 @example(lam=PI_SQUARED * 20_000)
 @settings(max_examples=30)
 def test_bundle_consistent_on_cube(lam):
-    # N from the float walk against the cube's integer T, plane, quadrant
-    # and floor counts.
+    # N from the octant walk against the cube's T, plane, quadrant and
+    # floor counts, each from its own float kernel.
     assert count_bundle(UNIT_CUBE, lam).consistent()
 
 
