@@ -76,6 +76,14 @@ class CountBundle:
         return self.t - rhs
 
     def plane_identity_residuals(self) -> tuple[int, int, int]:
+        """T_x - (4 T+_x + 2 f_u + 2 f_v + 1) for each coordinate plane.
+
+        Zero by construction, so it checks no count against another:
+        ``count_plane`` and ``_quadrant_count`` sum the same lines with
+        ``_line_sum``, the quadrant over a prefix whose tail holds no point
+        with v >= 1.  It becomes a check once a plane count is enumerated
+        without ``_line_sum``.
+        """
         return (
             self.t_x1 - (4 * self.tp_x1 + 2 * self.f2 + 2 * self.f3 + 1),
             self.t_x2 - (4 * self.tp_x2 + 2 * self.f1 + 2 * self.f3 + 1),
@@ -92,6 +100,14 @@ class CountBundle:
         )
 
     def consistent(self) -> bool:
+        """The octant identity, the plane identities and N recovered from the
+        decomposition all hold.
+
+        Only the octant identity compares independently enumerated counts:
+        the plane residuals are zero by construction, and with them zero, N
+        from the decomposition equals ``n`` exactly when the octant identity
+        holds.
+        """
         if self.octant_identity_residual() != 0:
             return False
         if any(r != 0 for r in self.plane_identity_residuals()):

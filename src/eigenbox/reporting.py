@@ -29,8 +29,9 @@ from .spectrum import PI_SQUARED, Cuboid, SpectralPoint
 SCHEMA_VERSION = 1
 
 
-def fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+# A float or np.float64 with 17 significant digits: the bytes of
+# format(float(x), ".17g"), without a Python call.
+fmt_float = "%.17g".__mod__
 
 
 def parse_bool(s: str) -> bool:
@@ -95,8 +96,10 @@ class Table:
     def _rows(self, records: Iterable) -> Iterable[list[str]]:
         schema = str(SCHEMA_VERSION)
         first, *rest = (get for _, _, get in self.fields)
+        rule = _CELL_RULES.get
         for record in records:
-            cells = [_cell(get(record)) for get in rest]  # once per record
+            # Once per record, for all the rows of its range.
+            cells = [rule(type(v), str)(v) for get in rest for v in [get(record)]]
             ks = first(record)
             for k in map(str, ks) if isinstance(ks, range) else [_cell(ks)]:
                 yield [schema, k, *cells]

@@ -21,7 +21,11 @@ of a band (lo, hi] in one vector kernel call and returns the band's
 eigenvalues with their index triples.  The band sits around the two-term Weyl
 guess for lambda_k (from 0 for a spectrum) and widens until it holds the
 k-th eigenvalue and its ``DEGENERACY_RTOL`` window; ``candidate_cap``
-bounds how many points the band may hold.
+bounds how many points the band may hold.  ``spectrum_points`` sorts the
+band and groups it into spectral points ``_GROUP`` values at a time: two
+``searchsorted`` calls give the chunk's window ends and starts, and its
+index triples become Python tuples in one call, so beside the band the
+grouping holds some 100 kB whatever k_max is.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ VOLUME_TOL = 1e-12
 # Default ceiling on the number of candidates one eigenvalue band may hold.
 # A band candidate peaks at 41 B (a float64 value, three int64 indices and
 # one 8-byte temporary or sort index; tracemalloc, 40.4 B at K = 2M and
-# 40.7 B at K = 500k for a spectrum on the box (0.7, 0.9)), so 24M
+# 40.6 B at K = 500k for a spectrum on the box (0.7, 0.9)), so 24M
 # candidates take at most 24M x 41 B = 0.98 GB.
 DEFAULT_CANDIDATE_CAP = 24_000_000
 
@@ -59,6 +63,13 @@ DEFAULT_CANDIDATE_CAP = 24_000_000
 # blocked pass counts.  A block's arrays then take a few MiB at most, whatever
 # lambda is.
 _BLOCK = 1 << 14
+
+# The most sorted band values whose spectral points ``spectrum_points`` groups
+# in one pass.  A pass holds the window ends of its values (about 40 B each)
+# and the index triples of its points' windows as Python tuples (about 150 B
+# each), so some 100 kB for a generic box, beside the band; a window of
+# many degenerate values adds its own triples.
+_GROUP = 512
 
 # The counting kernels correct a sqrt guess against the predicate one step at
 # a time.  Past 2^53, or where the other axes' terms swamp a step, a step of
@@ -446,8 +457,9 @@ def _band(
             return values, triples, value
 
 
-def _indices(triples: np.ndarray) -> tuple[tuple[int, int, int], ...]:
-    return tuple(sorted(zip(*triples.tolist())))
+def _indices(triples: np.ndarray) -> list[tuple[int, int, int]]:
+    """The columns of a (3, n) index array as (i1, i2, i3) tuples, in order."""
+    return list(zip(*triples.tolist()))
 
 
 def kth_eigenvalue(
@@ -466,7 +478,8 @@ def kth_eigenvalue(
     values, triples, value = _band(cuboid, k, candidate_cap, from_zero=False)
     near = values >= value * (1.0 - DEGENERACY_RTOL)
     near &= values <= value * (1.0 + DEGENERACY_RTOL)
-    return SpectralPoint(value=value, indices=_indices(triples.compress(near, axis=1)))
+    indices = tuple(sorted(_indices(triples.compress(near, axis=1))))
+    return SpectralPoint(value=value, indices=indices)
 
 
 def spectrum_points(
@@ -476,7 +489,14 @@ def spectrum_points(
 
     Points are sorted ascending; their multiplicities sum to at least
     ``k_max``.  Near-degenerate values merge per ``DEGENERACY_RTOL``: each
-    point starts at the lowest value not yet covered.
+    point starts at the lowest value not yet covered, and holds every value
+    within DEGENERACY_RTOL of it, also values that an earlier point holds.
+
+    The sorted band is grouped ``_GROUP`` values at a time.  One
+    ``searchsorted`` call gives the window end of every value in the chunk;
+    the chain of ends from the chunk's first point gives the points that start
+    in it, and one more call gives their window starts.  The index triples of
+    the chunk's windows become Python tuples in one ``_indices`` call.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -485,13 +505,24 @@ def spectrum_points(
     order = values.argsort()
     values.sort()
     points = []
-    covered = 0
-    while covered < k_max:
-        value = float(values[covered])
-        start = int(np.searchsorted(values, value * (1.0 - DEGENERACY_RTOL), side="left"))
-        covered = int(np.searchsorted(values, value * (1.0 + DEGENERACY_RTOL), side="right"))
-        indices = _indices(triples.take(order[start:covered], axis=1))
-        points.append(SpectralPoint(value=value, indices=indices))
+    head = 0
+    while head < k_max:
+        base, stop = head, min(head + _GROUP, k_max)
+        ends = np.searchsorted(
+            values, values[base:stop] * (1.0 + DEGENERACY_RTOL), "right"
+        ).tolist()
+        heads = []
+        while head < stop:
+            heads.append(head)
+            head = ends[head - base]
+        firsts = values[heads]
+        starts = np.searchsorted(values, firsts * (1.0 - DEGENERACY_RTOL), "left").tolist()
+        # A window may start before its point's first value, inside the
+        # window of the point before.
+        lo = starts[0]
+        tuples = _indices(triples.take(order[lo:head], axis=1))
+        for value, start, end in zip(firsts.tolist(), starts, [*heads[1:], head]):
+            points.append(SpectralPoint(value, tuple(sorted(tuples[start - lo:end - lo]))))
     return points
 
 

@@ -1,13 +1,20 @@
+import csv
 import io
 import json
 import math
+
+import numpy as np
+import pytest
 
 from eigenbox.bounds import BoundReport
 from eigenbox.lattice import count_bundle
 from eigenbox.optimize import OptimizerConfig, sweep
 from eigenbox.reporting import (
+    _CELL_RULES,
     OPTIMIZE_COLUMNS,
     SCHEMA_VERSION,
+    SPECTRUM,
+    VERIFY,
     VERIFY_COLUMNS,
     bundle_csv,
     bundle_json,
@@ -83,3 +90,83 @@ def test_bundle_serialisation():
     header, row = text.splitlines()
     assert header.split(",")[0] == "schema_version"
     assert row.split(",")[6] == "27"
+
+
+# ---------------------------------------------------------------------------
+# The cell rules that Table._rows looks up inline give the bytes of the
+# per-cell helper they replaced; ``ref_cell`` is that helper, copied.
+# ---------------------------------------------------------------------------
+
+
+def ref_fmt_float(x):
+    return format(float(x), ".17g")
+
+
+def ref_cell(value):
+    return REF_CELL_RULES.get(type(value), str)(value)
+
+
+REF_CELL_RULES = {
+    float: ref_fmt_float,
+    np.float64: ref_fmt_float,
+    bool: lambda flag: "true" if flag else "false",
+    # a report's inputs
+    dict: lambda inputs: ";".join([f"{key}={ref_cell(v)}" for key, v in inputs.items()]),
+    # lattice index triples
+    tuple: lambda indices: ";".join(["%s,%s,%s" % t for t in indices]),
+}
+REF_CELL_RULES[np.bool_] = REF_CELL_RULES[bool]
+
+
+def ref_csv(table, records):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(table.columns)
+    first, *rest = (get for _, _, get in table.fields)
+    for record in records:
+        cells = [ref_cell(get(record)) for get in rest]
+        ks = first(record)
+        for k in map(str, ks) if isinstance(ks, range) else [ref_cell(ks)]:
+            writer.writerow([str(SCHEMA_VERSION), k, *cells])
+    return out.getvalue()
+
+
+EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, float(2**53 + 2),
+    np.float64(0.1), np.float64(-0.0), np.float64(math.nan), 1.0 / 3.0, -1e300,
+]
+
+
+@pytest.mark.parametrize("x", EDGE_FLOATS, ids=repr)
+def test_float_cell_rule_is_format_17g(x):
+    assert fmt_float(x) == format(float(x), ".17g")
+    assert _CELL_RULES[type(x)](x) == format(float(x), ".17g")
+
+
+def test_bool_cell_rules():
+    for flag in (True, False, np.True_, np.False_):
+        assert _CELL_RULES[type(flag)](flag) == ("true" if flag else "false")
+
+
+def test_verify_csv_quoting_equals_reference():
+    awkward = ['plain', 'a,b', 'say "hi"', 'two\nlines', 'cr\r\nlf', '', ' ', '"', ',\n"']
+    reports = [
+        BoundReport(name, {"note": text, "y": y, "flag": np.True_, "n": 3}, y, rhs)
+        for name, text in zip(awkward, reversed(awkward))
+        for y, rhs in [(0.5, 1.0), (np.float64(2.0), -0.0), (math.nan, math.inf)]
+    ]
+    text = VERIFY.csv(reports)
+    assert text == ref_csv(VERIFY, reports)
+    buf = io.StringIO()
+    write_verify_csv(buf, reports)
+    assert buf.getvalue() == text
+
+
+def test_spectrum_csv_equals_reference():
+    # A range of k expands to one row per k; strings with commas are quoted.
+    records = [
+        (range(1, 4), np.float64(3.0) * math.pi**2, 3, 3, ((1, 1, 2), (1, 2, 1), (2, 1, 1))),
+        (range(4, 5), 12.5, 1.2665147955292222, 1, ((1, 2, 2),)),
+        (5, math.nan, -0.0, 0, ()),
+    ]
+    assert SPECTRUM.csv(records) == ref_csv(SPECTRUM, records)
