@@ -29,7 +29,6 @@ from .optimize import (
     InsufficientSpanError,
     OptimalRecord,
     OptimizerConfig,
-    SearchBox,
     optimize_k,
     rate_fit,
     sweep,

@@ -32,8 +32,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_RESOURCE = 3
 
-_MIN_TOL = sys.float_info.epsilon * 1e3
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -63,10 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--dyadic", action="store_true",
                     help="powers of two between k-min and k-max")
     op.add_argument("--threads", type=int, default=1, help="worker processes")
-    op.add_argument("--grid", type=int, default=64, help="coarse grid resolution")
-    op.add_argument("--basins", type=int, default=8)
-    op.add_argument("--max-iter", type=int, default=500)
-    op.add_argument("--side-tol", type=float, default=1e-9)
 
     vp = sub.add_parser("verify", parents=[common], help="run an inequality suite")
     vp.add_argument("--suite", required=True, choices=suites.SUITE_NAMES + ("all",))
@@ -130,20 +124,7 @@ def cmd_optimize(args) -> int:
     if ks is None:
         print("error: provide --k >= 1, or --k-min/--k-max", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.side_tol < _MIN_TOL:
-        print(f"error: --side-tol must be >= {_MIN_TOL:.3g}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if args.grid < 2 or args.basins < 1 or args.max_iter < 1:
-        print("error: bad optimizer configuration", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    config = OptimizerConfig(
-        grid_n=args.grid,
-        basins=args.basins,
-        max_iter=args.max_iter,
-        side_tol=args.side_tol,
-        candidate_cap=args.candidate_cap,
-        threads=args.threads,
-    )
+    config = OptimizerConfig(candidate_cap=args.candidate_cap, threads=args.threads)
     records = sweep(ks, config)
     _emit(args, reporting.OPTIMIZE, records)
     good = [r for r in records if r.cuboid is not None]

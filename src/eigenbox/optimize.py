@@ -1,10 +1,33 @@
-"""Minimise the k-th eigenvalue over unit-volume boxes.
+"""Certified minimisation of the k-th eigenvalue over unit-volume boxes.
 
-The objective is continuous but only piecewise smooth (eigenvalue branches
-cross), so refinement uses a derivative-free simplex with reflection and
-contraction only, seeded from the best basins of a coarse grid.  Relabelling
-symmetry folds every candidate into the fundamental domain a1 <= a2 <= a3,
-so the only hard constraint is the lower bound on the shortest side.
+``optimize_k`` is a deterministic branch-and-bound in u = a1^2, v = a2^2
+(a3^2 = 1/(uv)).  Each eigenvalue branch pi^2 (s1/u + s2/v + s3 uv), with
+s = (i1^2, i2^2, i3^2), is convex in (log u, log v): over a cell its minimum
+is the AM-GM value 3 pi^2 cbrt(s1 s2 s3) if that point lies inside, else the
+least clamped 1-D minimiser on the four edges, and its maximum is its
+largest corner value.  Minima are scaled by (1 - MARGIN) and maxima by
+(1 + MARGIN); without that margin the bound at k = 2 lands 1.5e-16 above
+the optimum.  The cover is [a1_lo^2, 1] x [a1_lo^2, 1/a1_lo] in ROOT_CELLS^2
+log-uniform cells, a1_lo = ``a1_lower_bound()``: every box in it, sorted,
+has a1 >= a1_lo, and only cells that meet the sorted domain u <= v <=
+u^(-1/2) are kept.
+
+At each point the k-th smallest branch value is at least the k-th smallest
+branch minimum, which so bounds lambda_k over the cell.  Rows whose maximum
+over a cell is at most the parent's bound are counted as ``below`` and
+dropped, and the bound becomes the larger of the parent's and the
+(k - below)-th smallest kept minimum.  A cell is pruned when its bound
+exceeds the incumbent, finished when it exceeds the incumbent times
+(1 - GAP_RTOL), and else split at its geometric midpoints.  So, up to the
+rounding of the one ``kth_eigenvalue`` call at the returned box,
+lambda_lower <= min of lambda_k over the domain <= lambda_star <=
+lambda_lower (1 + GAP_RTOL).
+
+A crossing optimum (a double eigenvalue: k = 3, 37, 61) costs about
+GAP_RTOL^(-1/2) cells.  On the crossing curve a cell of width h has a bound
+O(h) below lambda_k, so cells there finish only at h ~ GAP_RTOL; along the
+curve lambda_k rises quadratically, so at width h every cell within about
+sqrt(h) of the optimum is still open, h^(-1/2) of them.
 """
 
 from __future__ import annotations
@@ -13,20 +36,30 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import a1_lower_bound
 from .spectrum import (
+    _BLOCK,
     DEFAULT_CANDIDATE_CAP,
+    PI_SQUARED,
     Cuboid,
+    ResourceLimitError,
+    _octant_band,
+    cube_spectrum_table,
     kth_eigenvalue,
 )
 
-# Basin results with lambda within this relative gap count as agreeing.
-LAMBDA_AGREE_RTOL = 1e-8
-# Agreeing basins whose sides differ by more than this flag non-uniqueness.
-SIDE_DISTINCT_TOL = 1e-4
+# Relative gap between the certified lower bound and lambda_star.
+GAP_RTOL = 1e-9
+# Outward relative margin on the closed-form branch bounds.
+MARGIN = 1e-13
+# Root cells per axis of the cover.
+ROOT_CELLS = 8
+# The most cells one search may bound; k = 3, 37 and 61 take about 0.3M.
+CELL_BUDGET = 4_000_000
 
 
 class InsufficientSpanError(ValueError):
@@ -34,26 +67,7 @@ class InsufficientSpanError(ValueError):
 
 
 @dataclass(frozen=True)
-class SearchBox:
-    """Fundamental domain: a1 in [floor, 1], a2 in [a1, sqrt(1/a1)]."""
-
-    a1_lo: float = a1_lower_bound()
-    a1_hi: float = 1.0
-
-    def a2_bounds(self, a1: float) -> tuple[float, float]:
-        return (a1, math.sqrt(1.0 / a1))
-
-    @property
-    def a3_cap(self) -> float:
-        return 1.0 / self.a1_lo**2
-
-
-@dataclass(frozen=True)
 class OptimizerConfig:
-    grid_n: int = 64
-    basins: int = 8
-    max_iter: int = 500
-    side_tol: float = 1e-9
     candidate_cap: int = DEFAULT_CANDIDATE_CAP
     threads: int = 1
 
@@ -63,10 +77,10 @@ class OptimalRecord:
     k: int
     cuboid: Cuboid | None
     lambda_star: float
+    lambda_lower: float
     delta: float
     evaluations: int
-    restarts_agreeing: int
-    unique_within_tol: bool
+    cells: int
     status: str
 
     @property
@@ -74,150 +88,174 @@ class OptimalRecord:
         return self.cuboid is None
 
 
-class _Objective:
-    """Folded, counted evaluation map used by the grid and simplex stages."""
+def branch_bounds(s, u0, u1, v0, v1) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds, with MARGIN, of each branch over its cell
+    [u0, u1] x [v0, v1]; ``s`` is (3, n) and the sides broadcast to n."""
+    a, b, c = s
 
-    def __init__(self, k: int, box: SearchBox, candidate_cap: int):
-        self.k = k
-        self.box = box
-        self.candidate_cap = candidate_cap
-        self.evaluations = 0
+    def f(u, v):
+        return a / u + b / v + c * (u * v)
 
-    def __call__(self, a1: float, a2: float) -> float:
-        try:
-            c = Cuboid.from_sides(a1, a2)
-        except ValueError:
-            return math.inf
-        if c.a1 < self.box.a1_lo * (1.0 - 1e-12):
-            return math.inf
-        self.evaluations += 1
-        return kth_eigenvalue(c, self.k, self.candidate_cap).value
+    t = np.cbrt(a * b * c)
+    inside = (u0 <= a / t) & (a / t <= u1) & (v0 <= b / t) & (b / t <= v1)
+    edges = [f(u, np.clip(np.sqrt(b / (c * u)), v0, v1)) for u in (u0, u1)]
+    edges += [f(np.clip(np.sqrt(a / (c * v)), u0, u1), v) for v in (v0, v1)]
+    lo = np.where(inside, 3.0 * t, np.minimum.reduce(edges))
+    hi = np.maximum.reduce([f(u, v) for u in (u0, u1) for v in (v0, v1)])
+    return lo * (PI_SQUARED * (1.0 - MARGIN)), hi * (PI_SQUARED * (1.0 + MARGIN))
 
 
-def _grid_points(box: SearchBox, n: int) -> tuple[np.ndarray, np.ndarray]:
-    a1s = np.linspace(box.a1_lo, box.a1_hi, n)
-    grid_a1 = np.empty((n, n))
-    grid_a2 = np.empty((n, n))
-    for i, a1 in enumerate(a1s):
-        lo, hi = box.a2_bounds(float(a1))
-        grid_a1[i] = a1
-        grid_a2[i] = np.linspace(lo, hi, n)
-    return grid_a1, grid_a2
+def root_cells() -> np.ndarray:
+    """Rows u0, u1, v0, v1 of the root cells that meet the sorted domain."""
+    lo = a1_lower_bound()
+    u = np.geomspace(lo * lo, 1.0, ROOT_CELLS + 1)
+    v = np.geomspace(lo * lo, 1.0 / lo, ROOT_CELLS + 1)
+    i, j = np.divmod(np.arange(ROOT_CELLS * ROOT_CELLS), ROOT_CELLS)
+    box = np.array([u[i], u[i + 1], v[j], v[j + 1]])
+    return box[:, _meets_domain(box)]
 
 
-def _select_basins(values: np.ndarray, n_basins: int) -> list[tuple[int, int]]:
-    """Best grid cells, greedily skipping neighbours of already-chosen ones."""
-    n = values.shape[0]
-    order = np.argsort(values, axis=None, kind="stable")
-    chosen: list[tuple[int, int]] = []
-    for flat in order:
-        i, j = divmod(int(flat), n)
-        if not math.isfinite(values[i, j]):
-            break
-        if any(abs(i - ci) <= 1 and abs(j - cj) <= 1 for ci, cj in chosen):
-            continue
-        chosen.append((i, j))
-        if len(chosen) == n_basins:
-            break
-    return chosen
+def _meets_domain(box: np.ndarray) -> np.ndarray:
+    """v1 >= u0 and v0 <= u0^(-1/2), each within MARGIN."""
+    u0, _, v0, v1 = box
+    return (v1 >= u0 * (1.0 - MARGIN)) & (u0 * (v0 * v0) <= 1.0 + MARGIN)
 
 
-def _simplex_refine(
-    fn: _Objective,
-    start: tuple[float, float],
-    scale: float,
-    side_tol: float,
-    max_iter: int,
-) -> tuple[tuple[float, float], float, bool]:
-    """Reflection/contraction simplex descent from ``start``.
+def _kth_per_cell(values, cell, n_cells, need):
+    """The rows sorted by (cell, value), the cells holding at least ``need``
+    rows, and the row of each such cell's need-th smallest value."""
+    order = np.lexsort((values, cell))
+    counts = np.bincount(cell, minlength=n_cells)
+    has = counts >= need
+    return order, has, order[(np.cumsum(counts) - counts + need - 1)[has]]
 
-    No expansion step: the objective has kinks at eigenvalue crossings and
-    overshooting loses more than it gains.  Returns (point, value, converged).
-    """
-    pts = [
-        np.array(start),
-        np.array((start[0] + scale, start[1])),
-        np.array((start[0], start[1] + scale)),
-    ]
-    vals = [fn(*p) for p in pts]
-    converged = False
-    for _ in range(max_iter):
-        order = sorted(range(3), key=lambda i: (vals[i], pts[i][0], pts[i][1]))
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        span = max(
-            np.abs(pts[1] - pts[0]).max(),
-            np.abs(pts[2] - pts[0]).max(),
-            np.abs(pts[2] - pts[1]).max(),
-        )
-        if span <= side_tol:
-            converged = True
-            break
-        centroid = (pts[0] + pts[1]) / 2.0
-        reflected = centroid + (centroid - pts[2])
-        f_reflected = fn(*reflected)
-        if f_reflected < vals[1]:
-            pts[2], vals[2] = reflected, f_reflected
-            continue
-        contracted = centroid + 0.5 * (pts[2] - centroid)
-        f_contracted = fn(*contracted)
-        if f_contracted < vals[2]:
-            pts[2], vals[2] = contracted, f_contracted
-            continue
-        # Shrink toward the best vertex.
-        for i in (1, 2):
-            pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
-            vals[i] = fn(*pts[i])
-    best = min(range(3), key=lambda i: (vals[i], pts[i][0], pts[i][1]))
-    return (float(pts[best][0]), float(pts[best][1])), vals[best], converged
+
+class _Cells(NamedTuple):
+    """Open cells and their stored rows, (3, m) squared indices by cell."""
+
+    box: np.ndarray
+    bound: np.ndarray
+    below: np.ndarray
+    n_rows: np.ndarray
+    s: np.ndarray
+
+
+class _Search:
+    """The incumbent (best, at point), finished bound and cells of a search."""
+
+    def __init__(self, k: int, cap: int):
+        self.k, self.cap, self.cells, self.lower = k, cap, 0, math.inf
+        self.best, self.point = PI_SQUARED * float(cube_spectrum_table(k)[0][k]), (1.0, 1.0)
+
+    def level(self, chunks) -> _Cells:
+        """Bound each chunk (box, parent bound, below, s, cell of each row);
+        join the cells left open, within the cell budget and candidate cap."""
+        parts, stored = [], 0
+        for chunk in chunks:
+            self.cells += chunk[0].shape[1]
+            if self.cells > CELL_BUDGET:
+                raise ResourceLimitError(f"the search needs more than {CELL_BUDGET} cells")
+            parts.append(self.bound(*chunk))
+            stored += parts[-1].s.shape[1]
+            if stored > self.cap:
+                raise ResourceLimitError(
+                    f"a level stores more than {self.cap} rows (the candidate cap)")
+        return _Cells(*(np.concatenate(field, axis=-1) for field in zip(*parts)))
+
+    def roots(self):
+        """Each root cell with its rows: the branches whose value on the corner
+        box (1/u1, 1/v1, u0 v0), their least over the cell, is at most best."""
+        for u0, u1, v0, v1 in root_cells().T:
+            _, _, t = _octant_band(
+                (1.0 / u1, 1.0 / v1, u0 * v0), 0.0, self.best * (1.0 + MARGIN), self.cap)
+            s = (t * t).astype(np.float64)
+            box = np.array([[u0], [u1], [v0], [v1]])
+            yield box, np.zeros(1), np.zeros(1, np.int64), s, np.zeros(s.shape[1], np.int64)
+
+    def split(self, level: _Cells):
+        """The children of runs of open cells, at most ``_BLOCK`` rows (or one
+        parent's children) a chunk; a child takes its parent's rows."""
+        off = np.concatenate(([0], np.cumsum(level.n_rows)))
+        a = 0
+        while a < len(level.bound):
+            b = max(a + 1, int(np.searchsorted(off, off[a] + _BLOCK // 4, "right")) - 1)
+            # The children of cell p are 4p .. 4p+3, split at its geometric midpoints.
+            u0, u1, v0, v1 = (np.repeat(x, 4) for x in level.box[:, a:b])
+            um, vm = np.sqrt(u0 * u1), np.sqrt(v0 * v1)
+            hu, hv = np.tile([0, 1], 2 * (b - a)) == 1, np.tile([0, 0, 1, 1], b - a) == 1
+            box = np.array([np.where(hu, um, u0), np.where(hu, u1, um),
+                            np.where(hv, vm, v0), np.where(hv, v1, vm)])
+            keep = _meets_domain(box)
+            parent = np.repeat(np.arange(b - a), level.n_rows[a:b])
+            child = (4 * parent + np.arange(4)[:, None]).ravel()
+            take = keep[child]
+            yield (box[:, keep], np.repeat(level.bound[a:b], 4)[keep],
+                   np.repeat(level.below[a:b], 4)[keep],
+                   np.tile(level.s[:, off[a]:off[b]], 4)[:, take], (np.cumsum(keep) - 1)[child[take]])
+            a = b
+
+    def bound(self, box, parent, below, s, cell) -> _Cells:
+        """Bound the cells from their rows, offer their candidates, and
+        return the cells left open."""
+        n = box.shape[1]
+        lo, hi = branch_bounds(s, *box[:, cell])
+        under = hi <= parent[cell]
+        below = below + np.bincount(cell[under], minlength=n)
+        keep = ~under & (lo <= self.best)
+        s, cell, lo = s[:, keep], cell[keep], lo[keep]
+        need = self.k - below
+        order, has, pick = _kth_per_cell(lo, cell, n, need)
+        bound = np.full(n, math.inf)
+        bound[has] = np.maximum(parent[has], lo[pick])
+        live = bound <= self.best
+        done = live & (bound > self.best * (1.0 - GAP_RTOL))
+        self.lower = min(self.lower, float(bound[done].min(initial=math.inf)))
+
+        u0, u1, v0, v1 = box
+        self._offer(live, np.sqrt(u0 * u1), np.sqrt(v0 * v1), parent, need, s, cell)
+        # The AM-GM point of the row that sets each live cell's bound.
+        a, b, c = s[:, pick[live[has]]]
+        t = np.cbrt(a * b * c)
+        pu, pv = np.full(n, math.nan), np.full(n, math.nan)
+        pu[live], pv[live] = a / t, b / t
+        inside = live & (u0 <= pu) & (pu <= u1) & (v0 <= pv) & (pv <= v1)
+        self._offer(inside, pu, pv, parent, need, s, cell)
+
+        open_ = live & ~done
+        rows = order[open_[cell[order]]]
+        return _Cells(box[:, open_], bound[open_], below[open_],
+                      np.bincount(cell, minlength=n)[open_], s[:, rows])
+
+    def _offer(self, at, pu, pv, parent, need, s, cell) -> None:
+        """Lower the incumbent to the need-th smallest kept value at the point
+        (pu, pv) of a cell in ``at``.  Rows counted below are at most the
+        parent's bound and dropped rows exceed the incumbent, so a value at
+        least the parent's bound and below the incumbent is lambda_k there."""
+        rows = at[cell]
+        c = cell[rows]
+        u, v = pu[c], pv[c]
+        values = PI_SQUARED * (s[0, rows] / u + s[1, rows] / v + s[2, rows] * (u * v))
+        _, has, pick = _kth_per_cell(values, c, len(at), need)
+        x = np.full(len(at), math.inf)
+        x[has] = values[pick]
+        x[x < parent] = math.inf
+        j = int(np.argmin(x))
+        if x[j] < self.best:
+            self.best, self.point = float(x[j]), (float(pu[j]), float(pv[j]))
 
 
 def optimize_k(k: int, config: OptimizerConfig = OptimizerConfig()) -> OptimalRecord:
-    """Best box found for the k-th eigenvalue over the search domain."""
+    """The optimal box for the k-th eigenvalue, lambda_k there, and a lower
+    bound on the minimum within GAP_RTOL of it (see the module docstring)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    box = SearchBox()
-    fn = _Objective(k, box, config.candidate_cap)
-    n = config.grid_n
-    grid_a1, grid_a2 = _grid_points(box, n)
-    values = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            values[i, j] = fn(float(grid_a1[i, j]), float(grid_a2[i, j]))
-    seeds = _select_basins(values, config.basins)
-    scale = 0.5 * (box.a1_hi - box.a1_lo) / max(n - 1, 1)
-
-    results = []
-    for i, j in seeds:
-        start = (float(grid_a1[i, j]), float(grid_a2[i, j]))
-        point, value, converged = _simplex_refine(
-            fn, start, scale, config.side_tol, config.max_iter
-        )
-        c = Cuboid.from_sides(*point)
-        results.append((value, c, converged))
-
-    best_value = min(r[0] for r in results)
-    agreeing = [
-        r for r in results if r[0] <= best_value * (1.0 + LAMBDA_AGREE_RTOL)
-    ]
-    # Deterministic tie-break: report the box closest to the cube.
-    agreeing.sort(key=lambda r: (r[1].a1, r[1].a2), reverse=True)
-    value, cuboid, converged = agreeing[0]
-    unique = all(
-        max(abs(r[1].a1 - cuboid.a1), abs(r[1].a2 - cuboid.a2), abs(r[1].a3 - cuboid.a3))
-        <= SIDE_DISTINCT_TOL
-        for r in agreeing
-    )
-    return OptimalRecord(
-        k=k,
-        cuboid=cuboid,
-        lambda_star=value,
-        delta=cuboid.a3 - 1.0,
-        evaluations=fn.evaluations,
-        restarts_agreeing=len(agreeing),
-        unique_within_tol=unique,
-        status="converged" if converged else "max_iter",
-    )
+    search = _Search(k, config.candidate_cap)
+    level = search.level(search.roots())
+    while len(level.bound):
+        level = search.level(search.split(level))
+    cuboid = Cuboid.from_sides(math.sqrt(search.point[0]), math.sqrt(search.point[1]))
+    value = kth_eigenvalue(cuboid, k, config.candidate_cap).value
+    return OptimalRecord(k, cuboid, value, search.lower, cuboid.a3 - 1.0, 1, search.cells, "certified")
 
 
 def _sweep_one(args: tuple[int, OptimizerConfig]) -> OptimalRecord:
@@ -225,16 +263,7 @@ def _sweep_one(args: tuple[int, OptimizerConfig]) -> OptimalRecord:
     try:
         return optimize_k(k, config)
     except Exception as exc:  # per-k failures must not kill the sweep
-        return OptimalRecord(
-            k=k,
-            cuboid=None,
-            lambda_star=math.nan,
-            delta=math.nan,
-            evaluations=0,
-            restarts_agreeing=0,
-            unique_within_tol=False,
-            status=f"failed: {exc}",
-        )
+        return OptimalRecord(k, None, math.nan, math.nan, math.nan, 0, 0, f"failed: {exc}")
 
 
 def _pool_size(threads: int, n_jobs: int) -> int:

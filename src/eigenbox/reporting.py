@@ -22,10 +22,11 @@ from typing import Any, Callable, Iterable, get_type_hints
 
 import numpy as np
 
-from .lattice import CountBundle
 from .optimize import OptimalRecord
 from .spectrum import PI_SQUARED, Cuboid, SpectralPoint
 
+# The schema of every table but OPTIMIZE, whose records carry a certified
+# bound since version 2.
 SCHEMA_VERSION = 1
 
 
@@ -81,10 +82,12 @@ class Table:
     ``top`` is None for a document that holds one record at its top level.
     A ``range`` in the first field stands for consecutive rows that share
     every other field; the spectrum numbers its eigenvalues that way.
+    ``schema`` is the ``schema_version`` the table writes.
     """
 
     top: str | None
     fields: tuple
+    schema: int = SCHEMA_VERSION
 
     @property
     def columns(self) -> list[str]:
@@ -94,7 +97,7 @@ class Table:
         write_csv(stream, self.columns, self._rows(records))
 
     def _rows(self, records: Iterable) -> Iterable[list[str]]:
-        schema = str(SCHEMA_VERSION)
+        schema = str(self.schema)
         first, *rest = (get for _, _, get in self.fields)
         rule = _CELL_RULES.get
         for record in records:
@@ -121,7 +124,7 @@ class Table:
             (payload,) = entries
         else:
             payload = {self.top: entries}
-        return json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2)
+        return json.dumps({"schema_version": self.schema, **payload}, indent=2)
 
 
 def _side(i: int) -> Callable[[OptimalRecord], float]:
@@ -130,9 +133,8 @@ def _side(i: int) -> Callable[[OptimalRecord], float]:
 
 OPTIMIZE = Table("records", (
     _field("k"), _field("a1", _side(0)), _field("a2", _side(1)), _field("a3", _side(2)),
-    *map(_field, ("lambda_star", "delta", "evaluations", "restarts_agreeing",
-                  "unique_within_tol", "status")),
-))
+    *map(_field, ("lambda_star", "lambda_lower", "delta", "evaluations", "cells", "status")),
+), schema=2)
 
 VERIFY = Table("reports", (
     _field("suite", "name"),
@@ -176,20 +178,7 @@ def spectrum_records(points: list[SpectralPoint], k_max: int, is_cube: bool) -> 
     return records
 
 
-OPTIMIZE_COLUMNS = OPTIMIZE.columns
-VERIFY_COLUMNS = VERIFY.columns
-optimize_records_json = OPTIMIZE.json
-verify_reports_json = VERIFY.json
 write_optimize_csv = OPTIMIZE.write_csv
-write_verify_csv = VERIFY.write_csv
-
-
-def bundle_csv(cuboid: Cuboid, bundle: CountBundle) -> str:
-    return COUNT.csv([(cuboid, bundle)])
-
-
-def bundle_json(cuboid: Cuboid, bundle: CountBundle) -> str:
-    return COUNT.json([(cuboid, bundle)])
 
 
 def read_optimize_csv(stream) -> list[OptimalRecord]:
@@ -198,7 +187,7 @@ def read_optimize_csv(stream) -> list[OptimalRecord]:
     parse = {int: int, float: float, bool: parse_bool, str: str}
     records = []
     for row in csv.DictReader(stream):
-        if int(row["schema_version"]) != SCHEMA_VERSION:
+        if int(row["schema_version"]) != OPTIMIZE.schema:
             raise ValueError(f"unsupported schema_version {row['schema_version']}")
         values = {
             column: parse[types.get(column, float)](row[column])

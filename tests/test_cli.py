@@ -110,7 +110,7 @@ class TestCountCommand:
 class TestOptimizeCommand:
     def test_k1_row(self, capsys):
         code, out, _ = run(
-            capsys, "optimize", "--k", "1", "--grid", "16", "--basins", "3",
+            capsys, "optimize", "--k", "1",
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -124,7 +124,6 @@ class TestOptimizeCommand:
         code, out, _ = run(
             capsys,
             "optimize", "--k-min", "1", "--k-max", "16", "--dyadic",
-            "--grid", "12", "--basins", "2", "--max-iter", "60",
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -152,13 +151,13 @@ class TestOptimizeCommand:
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys,
-            "optimize", "--k", "1", "--grid", "12", "--basins", "2",
+            "optimize", "--k", "1",
             "--format", "json",
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema_version"] == 1
-        assert payload["records"][0]["status"] == "converged"
+        assert payload["schema_version"] == 2
+        assert payload["records"][0]["status"] == "certified"
 
     def test_threads_do_not_change_output_files(self, capsys, tmp_path):
         paths = []
@@ -167,7 +166,6 @@ class TestOptimizeCommand:
             code, _, _ = run(
                 capsys,
                 "optimize", "--k-min", "1", "--k-max", "3",
-                "--grid", "16", "--basins", "3",
                 "--threads", str(threads), "--out", str(path),
             )
             assert code == 0
@@ -178,7 +176,7 @@ class TestOptimizeCommand:
         out_path = tmp_path / "records.csv"
         code, out, _ = run(
             capsys,
-            "optimize", "--k", "1", "--grid", "12", "--basins", "2",
+            "optimize", "--k", "1",
             "--out", str(out_path),
         )
         assert code == 0

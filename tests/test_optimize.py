@@ -2,6 +2,7 @@ import io
 import math
 import os
 
+import numpy as np
 import pytest
 
 from eigenbox.bounds import a1_lower_bound, polya_lower_bound
@@ -9,10 +10,10 @@ from eigenbox.optimize import (
     InsufficientSpanError,
     OptimalRecord,
     OptimizerConfig,
-    SearchBox,
     _pool_size,
     optimize_k,
     rate_fit,
+    root_cells,
     sweep,
 )
 from eigenbox.reporting import write_optimize_csv
@@ -20,7 +21,7 @@ from eigenbox.spectrum import PI_SQUARED, Cuboid, UNIT_CUBE, count_upto, kth_eig
 
 PI2 = PI_SQUARED
 
-FAST = OptimizerConfig(grid_n=24, basins=4, max_iter=200)
+FAST = OptimizerConfig()
 
 
 def synthetic_record(k, delta):
@@ -30,22 +31,33 @@ def synthetic_record(k, delta):
         k=k,
         cuboid=Cuboid.from_sides(a1, a1),
         lambda_star=100.0,
+        lambda_lower=100.0,
         delta=delta,
         evaluations=1,
-        restarts_agreeing=1,
-        unique_within_tol=True,
-        status="converged",
+        cells=1,
+        status="certified",
     )
 
 
-class TestSearchBox:
-    def test_bounds(self):
-        box = SearchBox()
-        assert box.a1_lo == a1_lower_bound()
-        assert box.a1_hi == 1.0
-        lo, hi = box.a2_bounds(0.25)
-        assert lo == 0.25 and hi == 2.0
-        assert box.a3_cap <= 319.0
+class TestCover:
+    def test_root_cells_cover_the_domain(self):
+        u0, u1, v0, v1 = root_cells()
+        lo = a1_lower_bound()
+        assert u0.min() == lo * lo and u1.max() == 1.0
+        assert v0.min() == lo * lo and v1.max() == 1.0 / lo
+        # every kept cell meets the sorted domain u <= v <= u^(-1/2)
+        assert ((v1 >= u0) & (v0 <= u0**-0.5)).all()
+        # every box of the cover, sorted, has a1 >= a1_lo
+        for u, v in ((u0, v0), (u0, v1), (u1, v0), (u1, v1)):
+            a1 = np.minimum(np.minimum(np.sqrt(u), np.sqrt(v)), 1.0 / np.sqrt(u * v))
+            assert (a1 >= lo * (1 - 1e-15)).all()
+        # every domain box lies in a kept cell
+        rng = np.random.default_rng(0)
+        a1 = rng.uniform(lo, 1.0, 2000)
+        a2 = rng.uniform(a1, a1**-0.5)
+        u, v = a1 * a1, a2 * a2
+        inside = (u0 <= u[:, None]) & (u[:, None] <= u1) & (v0 <= v[:, None]) & (v[:, None] <= v1)
+        assert inside.any(axis=1).all()
 
 
 class TestOptimizeK:
@@ -55,8 +67,8 @@ class TestOptimizeK:
         for side in rec.cuboid.sides:
             assert side == pytest.approx(1.0, abs=1e-6)
         assert rec.delta == pytest.approx(0.0, abs=1e-6)
-        assert rec.status == "converged"
-        assert rec.evaluations > 0
+        assert rec.status == "certified"
+        assert rec.evaluations == 1
 
     def test_k2_analytic_optimum(self):
         # minimising x + y + 4z over xyz = 1 gives x = y = 4z = 4^(1/3)
@@ -99,7 +111,7 @@ class TestSweep:
 
     def test_failure_isolation(self):
         # an impossible candidate cap fails per-k without killing the sweep
-        config = OptimizerConfig(grid_n=8, basins=2, max_iter=50, candidate_cap=1)
+        config = OptimizerConfig(candidate_cap=1)
         records = sweep([1, 2], config)
         assert [r.k for r in records] == [1, 2]
         assert all(r.cuboid is None for r in records)
@@ -108,9 +120,7 @@ class TestSweep:
     def test_shuffled_ks_keep_input_order(self):
         ks = [3, 1, 4, 2]
         serial = sweep(ks, FAST)
-        parallel = sweep(ks, OptimizerConfig(
-            grid_n=24, basins=4, max_iter=200, threads=2,
-        ))
+        parallel = sweep(ks, OptimizerConfig(threads=2))
         assert [r.k for r in parallel] == ks
         buf_a, buf_b = io.StringIO(), io.StringIO()
         write_optimize_csv(buf_a, serial)
@@ -129,9 +139,7 @@ class TestSweep:
 
     def test_thread_count_does_not_change_bytes(self):
         serial = sweep([1, 2, 3], FAST)
-        parallel = sweep([1, 2, 3], OptimizerConfig(
-            grid_n=24, basins=4, max_iter=200, threads=2,
-        ))
+        parallel = sweep([1, 2, 3], OptimizerConfig(threads=2))
         buf_a, buf_b = io.StringIO(), io.StringIO()
         write_optimize_csv(buf_a, serial)
         write_optimize_csv(buf_b, parallel)

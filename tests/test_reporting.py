@@ -11,24 +11,19 @@ from eigenbox.lattice import count_bundle
 from eigenbox.optimize import OptimizerConfig, sweep
 from eigenbox.reporting import (
     _CELL_RULES,
-    OPTIMIZE_COLUMNS,
+    COUNT,
+    OPTIMIZE,
     SCHEMA_VERSION,
     SPECTRUM,
     VERIFY,
-    VERIFY_COLUMNS,
-    bundle_csv,
-    bundle_json,
     fmt_float,
-    optimize_records_json,
     parse_bool,
     read_optimize_csv,
-    verify_reports_json,
     write_optimize_csv,
-    write_verify_csv,
 )
 from eigenbox.spectrum import UNIT_CUBE
 
-FAST = OptimizerConfig(grid_n=16, basins=3, max_iter=120)
+FAST = OptimizerConfig()
 
 
 def test_float_format_roundtrips():
@@ -47,7 +42,7 @@ def test_optimize_csv_roundtrip_bit_identical():
     buf = io.StringIO()
     write_optimize_csv(buf, records)
     text = buf.getvalue()
-    assert text.splitlines()[0] == ",".join(OPTIMIZE_COLUMNS)
+    assert text.splitlines()[0] == ",".join(OPTIMIZE.columns)
     parsed = read_optimize_csv(io.StringIO(text))
     assert parsed == records
     buf2 = io.StringIO()
@@ -57,8 +52,8 @@ def test_optimize_csv_roundtrip_bit_identical():
 
 def test_optimize_json_schema():
     records = sweep([1], FAST)
-    payload = json.loads(optimize_records_json(records))
-    assert payload["schema_version"] == SCHEMA_VERSION
+    payload = json.loads(OPTIMIZE.json(records))
+    assert payload["schema_version"] == OPTIMIZE.schema == 2
     row = payload["records"][0]
     assert row["k"] == 1
     assert row["a3"] == records[0].cuboid.a3
@@ -70,23 +65,23 @@ def test_verify_csv_schema():
         BoundReport("demo", {"y": 0.5, "n": 1}, 3.0, 2.0),
     ]
     buf = io.StringIO()
-    write_verify_csv(buf, reports)
+    VERIFY.write_csv(buf, reports)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == ",".join(VERIFY_COLUMNS)
+    assert lines[0] == ",".join(VERIFY.columns)
     assert lines[1].startswith(f"{SCHEMA_VERSION},demo,")
     assert lines[1].endswith(",true")
     assert lines[2].endswith(",false")
-    payload = json.loads(verify_reports_json(reports))
+    payload = json.loads(VERIFY.json(reports))
     assert payload["reports"][0]["pass"] is True
 
 
 def test_bundle_serialisation():
     bundle = count_bundle(UNIT_CUBE, 3 * math.pi**2)
-    payload = json.loads(bundle_json(UNIT_CUBE, bundle))
+    payload = json.loads(COUNT.json([(UNIT_CUBE, bundle)]))
     assert payload["schema_version"] == SCHEMA_VERSION
     assert payload["T"] == 27
     assert payload["identity_ok"] is True
-    text = bundle_csv(UNIT_CUBE, bundle)
+    text = COUNT.csv([(UNIT_CUBE, bundle)])
     header, row = text.splitlines()
     assert header.split(",")[0] == "schema_version"
     assert row.split(",")[6] == "27"
@@ -158,7 +153,7 @@ def test_verify_csv_quoting_equals_reference():
     text = VERIFY.csv(reports)
     assert text == ref_csv(VERIFY, reports)
     buf = io.StringIO()
-    write_verify_csv(buf, reports)
+    VERIFY.write_csv(buf, reports)
     assert buf.getvalue() == text
 
 
