@@ -142,9 +142,6 @@ def cmd_optimize(args) -> int:
         except InsufficientSpanError:
             pass
         print(summary, file=sys.stderr)
-    for r in records:
-        if r.cuboid is None:
-            print(f"k={r.k}: {r.status}", file=sys.stderr)
     if not good:
         return EXIT_VERIFY_FAIL
     return EXIT_OK

@@ -23,6 +23,10 @@ rounding of the one ``kth_eigenvalue`` call at the returned box,
 lambda_lower <= min of lambda_k over the domain <= lambda_star <=
 lambda_lower (1 + GAP_RTOL).
 
+The search is level-synchronous, from the root cells down: a level's cells
+are bounded in chunks of whole cells, at most ``_BLOCK`` rows (or one cell)
+a chunk, and the cells of one chunk share one incumbent.
+
 A crossing optimum (a double eigenvalue: k = 3, 37, 61) costs about
 GAP_RTOL^(-1/2) cells.  On the crossing curve a cell of width h has a bound
 O(h) below lambda_k, so cells there finish only at h ~ GAP_RTOL; along the
@@ -34,6 +38,8 @@ from __future__ import annotations
 
 import math
 import os
+import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -163,14 +169,30 @@ class _Search:
         return _Cells(*(np.concatenate(field, axis=-1) for field in zip(*parts)))
 
     def roots(self):
-        """Each root cell with its rows: the branches whose value on the corner
-        box (1/u1, 1/v1, u0 v0), their least over the cell, is at most best."""
-        for u0, u1, v0, v1 in root_cells().T:
+        """Runs of whole root cells with their rows, at most ``_BLOCK`` rows
+        (or one cell) a chunk, like the chunks of ``split``.  A cell's rows
+        are the branches whose value on the corner box (1/u1, 1/v1, u0 v0),
+        their least over the cell, is at most best."""
+        boxes, rows, size = [], [], 0
+        for box in root_cells().T:
+            u0, u1, v0, v1 = box
             _, _, t = _octant_band(
                 (1.0 / u1, 1.0 / v1, u0 * v0), 0.0, self.best * (1.0 + MARGIN), self.cap)
-            s = (t * t).astype(np.float64)
-            box = np.array([[u0], [u1], [v0], [v1]])
-            yield box, np.zeros(1), np.zeros(1, np.int64), s, np.zeros(s.shape[1], np.int64)
+            if rows and size + t.shape[1] > _BLOCK:
+                yield self._root_chunk(boxes, rows)
+                boxes, rows, size = [], [], 0
+            boxes.append(box)
+            rows.append(t)
+            size += t.shape[1]
+        yield self._root_chunk(boxes, rows)
+
+    @staticmethod
+    def _root_chunk(boxes, rows):
+        """The chunk of root cells ``boxes`` with their index rows."""
+        n = len(boxes)
+        cell = np.repeat(np.arange(n), [t.shape[1] for t in rows])
+        s = (np.concatenate(rows, axis=1) ** 2).astype(np.float64)
+        return np.array(boxes).T, np.zeros(n), np.zeros(n, np.int64), s, cell
 
     def split(self, level: _Cells):
         """The children of runs of open cells, at most ``_BLOCK`` rows (or one
@@ -259,11 +281,16 @@ def optimize_k(k: int, config: OptimizerConfig = OptimizerConfig()) -> OptimalRe
 
 
 def _sweep_one(args: tuple[int, OptimizerConfig]) -> OptimalRecord:
+    """``optimize_k`` with failures isolated; one progress line to stderr."""
     k, config = args
+    start = time.perf_counter()
     try:
-        return optimize_k(k, config)
+        record = optimize_k(k, config)
     except Exception as exc:  # per-k failures must not kill the sweep
-        return OptimalRecord(k, None, math.nan, math.nan, math.nan, 0, 0, f"failed: {exc}")
+        record = OptimalRecord(k, None, math.nan, math.nan, math.nan, 0, 0, f"failed: {exc}")
+    seconds = time.perf_counter() - start
+    print(f"k={k}: {record.status}, {record.cells} cells, {seconds:.3f} s", file=sys.stderr, flush=True)
+    return record
 
 
 def _pool_size(threads: int, n_jobs: int) -> int:

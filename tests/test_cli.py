@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,17 @@ class TestOptimizeCommand:
             assert code == 0
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_progress_line_per_k(self, capsys):
+        argv = ("optimize", "--k-min", "1", "--k-max", "4", "--dyadic")
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        progress = re.findall(r"^k=(\d+): certified, (\d+) cells, \d+\.\d{3} s$", err, re.M)
+        assert [k for k, _ in progress] == ["1", "2", "4"]
+        assert [cells for _, cells in progress] == [row.split(",")[9] for row in out.splitlines()[1:]]
+        code, out_threads, _ = run(capsys, *argv, "--threads", "2")
+        assert code == 0
+        assert out_threads == out
 
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "records.csv"
