@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -75,16 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, table: reporting.Table, records, default: str = "csv") -> None:
-    """Write ``records`` in the chosen format to --out or stdout."""
-    if (args.format or default) == "json":
-        text = table.json(records) + "\n"
-    else:
-        text = table.csv(records)
-    if args.out:
-        with open(args.out, "w", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write ``records`` in the chosen format to --out or stdout; CSV streams."""
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as handle:
+        if (args.format or default) == "json":
+            handle.write(table.json(records) + "\n")
+        else:
+            table.write_csv(handle, records)
 
 
 def cmd_spectrum(args) -> int:

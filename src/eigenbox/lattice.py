@@ -78,11 +78,10 @@ class CountBundle:
     def plane_identity_residuals(self) -> tuple[int, int, int]:
         """T_x - (4 T+_x + 2 f_u + 2 f_v + 1) for each coordinate plane.
 
-        Zero by construction, so it checks no count against another:
-        ``count_plane`` and ``_quadrant_count`` sum the same lines with
-        ``_line_sum``, the quadrant over a prefix whose tail holds no point
-        with v >= 1.  It becomes a check once a plane count is enumerated
-        without ``_line_sum``.
+        ``count_plane`` sums the plane's v lines and ``_quadrant_count`` its
+        u lines, so each residual is 4 times the column count of the open
+        quadrant less its row count: a check of one enumeration against the
+        other.
         """
         return (
             self.t_x1 - (4 * self.tp_x1 + 2 * self.f2 + 2 * self.f3 + 1),
@@ -103,10 +102,10 @@ class CountBundle:
         """The octant identity, the plane identities and N recovered from the
         decomposition all hold.
 
-        Only the octant identity compares independently enumerated counts:
-        the plane residuals are zero by construction, and with them zero, N
-        from the decomposition equals ``n`` exactly when the octant identity
-        holds.
+        The octant identity compares the octant walk with the full-lattice,
+        quadrant and axis counts, and each plane identity the column and row
+        counts of its quadrant.  With both zero, N from the decomposition
+        equals ``n`` exactly.
         """
         if self.octant_identity_residual() != 0:
             return False
@@ -187,7 +186,8 @@ def count_full(cuboid: Cuboid, lam: float) -> int:
 
 
 def _line_sum(qu: float, qv: float, lam_eff: float, n: int) -> int:
-    """Sum over u = 1 .. n of _nmax_scalar(u^2*qu, qv, lam_eff).
+    """Sum over u = 1 .. n of _nmax_scalar(u^2*qu, qv, lam_eff): the points
+    with v >= 1 of the lines u = 1 .. n; swap qu and qv for the v lines.
 
     A line of at most _VECTOR_MIN points takes the scalar kernel, a longer
     one a vector kernel call per _BLOCK points.
@@ -203,12 +203,28 @@ def _line_sum(qu: float, qv: float, lam_eff: float, n: int) -> int:
 
 def count_plane(cuboid: Cuboid, lam: float, axis: int) -> int:
     """Integer lattice points in the plane section of E(lam) through the
-    origin orthogonal to ``axis``."""
+    origin orthogonal to ``axis``.
+
+    Summed over the lines of constant v, the transpose of the u lines of
+    ``_quadrant_count``.  v is the longer side, so there are more of them:
+    more than DEFAULT_CANDIDATE_CAP lines that hold a point off the v axis
+    raise ResourceLimitError.
+    """
     lam_eff = _check_lambda(lam)
     qu, qv = _axis_pairs(cuboid.inv_sq, axis)
-    # The v line through u = 0, then the lines u = +-1 .. +-n inside E(lam).
-    n = _nmax_scalar(0.0, qu, lam_eff)
-    return 2 * _nmax_scalar(0.0, qv, lam_eff) + 1 + 2 * (2 * _line_sum(qu, qv, lam_eff, n) + n)
+    # 2 f_u + 1 points on the u axis; then each line v = +-1 .. +-f_v holds
+    # one point on the v axis and 2 _nmax_scalar(v^2*qv, qu) off it, which
+    # is 0 past the m lines that hold a point with u >= 1.
+    m = _nmax_scalar(qu, qv, lam_eff)
+    if m > DEFAULT_CANDIDATE_CAP:
+        raise ResourceLimitError(
+            f"the plane count at lambda={lam:.6g} sums {m} lines, "
+            f"more than the candidate cap {DEFAULT_CANDIDATE_CAP}"
+        )
+    return (
+        2 * _nmax_scalar(0.0, qu, lam_eff) + 1
+        + 2 * (2 * _line_sum(qv, qu, lam_eff, m) + _nmax_scalar(0.0, qv, lam_eff))
+    )
 
 
 def _quadrant_count(qu: float, qv: float, lam_eff: float) -> int:

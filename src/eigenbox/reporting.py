@@ -1,4 +1,4 @@
-"""Stable CSV/JSON serialisation for records and reports.
+r"""Stable CSV/JSON serialisation for records and reports.
 
 Each record type has one field table, and both formats derive from it.  A
 table entry is (CSV column, JSON key, getter returning a typed value).  One
@@ -8,6 +8,16 @@ turns a NaN float into null.  The writers put ``schema_version`` first in
 every CSV row and at the top of every JSON document, and emit rows in a fixed
 order with a fixed line terminator, which makes output byte-identical across
 runs and worker counts.
+
+The CSV writer formats cells column by column, ``_CHUNK`` records at a time:
+a column whose values share one type takes that type's rule in one ``map``.
+A record's cells after the first are joined once, so a range record writes
+them once for all its rows.  A cell is quoted when it holds ``,``, ``"`` or
+``\n``: it is wrapped in ``"`` with each inner ``"`` doubled, and nothing
+else is quoted, a bare ``\r`` included.  That is ``csv.writer`` with
+``lineterminator="\n"`` on Python 3.10-3.12 (3.13's also quotes a bare
+``\r``, 3.10's refuses a NUL), and the bytes do not depend on the Python
+version.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, get_type_hints
 
@@ -28,6 +39,10 @@ from .spectrum import PI_SQUARED, Cuboid, SpectralPoint
 # The schema of every table but OPTIMIZE, whose records carry a certified
 # bound since version 2.
 SCHEMA_VERSION = 1
+
+# Records formatted per pass of the CSV writer, which bounds its memory
+# whatever the number of records.
+_CHUNK = 1024
 
 
 # A float or np.float64 with 17 significant digits: the bytes of
@@ -64,10 +79,36 @@ def _json_value(value: Any) -> Any:
     return None if isinstance(value, float) and math.isnan(value) else value
 
 
-def write_csv(stream, columns: list[str], rows: Iterable[list[str]]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
+def _column(values: list) -> list[str]:
+    """The CSV cells of one column, quoted where a cell needs it."""
+    kinds = set(map(type, values))
+    rule = _CELL_RULES.get(kinds.pop(), str) if len(kinds) == 1 else _cell
+    cells = list(map(rule, values))
+    joined = "".join(cells)
+    if '"' in joined:
+        return [
+            '"%s"' % c.replace('"', '""') if "," in c or '"' in c or "\n" in c else c
+            for c in cells
+        ]
+    if "," in joined or "\n" in joined:
+        # No quote to double: the spectrum's indices take this path.
+        return ['"%s"' % c if "," in c or "\n" in c else c for c in cells]
+    return cells
+
+
+def write_csv(stream, table: Table, records: Iterable) -> None:
+    """The CSV of ``records`` under ``table``, one ``stream.write`` per chunk."""
+    schema = table.schema
+    first, *rest = (get for _, _, get in table.fields)
+    stream.write(",".join(_column(table.columns)) + "\n")
+    records = iter(records)
+    while chunk := list(islice(records, _CHUNK)):
+        tails = map(",".join, zip(*[_column(list(map(get, chunk))) for get in rest]))
+        firsts = list(map(first, chunk))
+        # A range stands for its rows; any other first value is one cell.
+        heads = iter(_column([f for f in firsts if type(f) is not range]))
+        ks = [f if type(f) is range else (next(heads),) for f in firsts]
+        stream.write("".join([f"{schema},{k},{tail}\n" for r, tail in zip(ks, tails) for k in r]))
 
 
 def _field(column: str, get: Callable[[Any], Any] | str | None = None, key: str | None = None):
@@ -94,18 +135,7 @@ class Table:
         return ["schema_version", *(column for column, _, _ in self.fields)]
 
     def write_csv(self, stream, records: Iterable) -> None:
-        write_csv(stream, self.columns, self._rows(records))
-
-    def _rows(self, records: Iterable) -> Iterable[list[str]]:
-        schema = str(self.schema)
-        first, *rest = (get for _, _, get in self.fields)
-        rule = _CELL_RULES.get
-        for record in records:
-            # Once per record, for all the rows of its range.
-            cells = [rule(type(v), str)(v) for get in rest for v in [get(record)]]
-            ks = first(record)
-            for k in map(str, ks) if isinstance(ks, range) else [_cell(ks)]:
-                yield [schema, k, *cells]
+        write_csv(stream, self, records)
 
     def csv(self, records: Iterable) -> str:
         out = io.StringIO()
