@@ -17,6 +17,7 @@ from .lattice import (
     CountBundle,
     RemainderExponents,
     count_bundle,
+    count_bundles,
     count_full,
     count_plane,
     divisor_count,

@@ -72,18 +72,16 @@ def gamma_half(twice: int) -> float:
 def lemma_sum(query: BoundQuery) -> float:
     """sum_{i=1}^{floor(sqrt(y)/a)} (y - a^2 i^2)^(n/2); 0 when sqrt(y) < a."""
     y, a, n = query.y, query.a, query.n
-    if y == 0.0:
-        return 0.0
-    width = int(math.sqrt(y) / a) + 2
-    i = np.arange(1, width + 1, dtype=np.float64)
-    base = y - (a * a) * (i * i)
-    base = base[base >= 0.0]
-    if base.size == 0:
-        return 0.0
+    # y - a^2 i^2 falls with i, so its entries >= 0 are those of i <= m.
+    m = int(math.sqrt(y) / a) + 2
+    while m > 0 and y - (a * a) * float(m * m) < 0.0:
+        m -= 1
+    base = np.square(np.arange(1, m + 1, dtype=np.float64)) * (a * a)
+    np.subtract(y, base, out=base)
     if n == 2:
         return float(base.sum())
     if n == 1:
-        return float(np.sqrt(base).sum())
+        return float(np.sqrt(base, out=base).sum())
     return float((base ** (n / 2.0)).sum())
 
 

@@ -12,11 +12,19 @@ Every box, the unit cube included, takes the same float counters: the
 cube's sums are exact integers below 2^53 and pi^2 * float(s) is monotone
 in s, so its counts are the integer counts.  Only ``cube_spectrum_table``
 in :mod:`eigenbox.spectrum` still counts the cube in integer arithmetic.
+
+``count_bundles`` counts many boxes at once, as the identity suite of
+``verify`` does: the six line families (T_x, T+) of all boxes in one ragged
+pass of vector kernel calls and their full lattices in another, while N
+stays on the octant walk of ``count_upto``, one per box, so the octant
+identity checks it against an independent enumeration.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,17 +39,12 @@ from .spectrum import (
     ResourceLimitError,
     UNIT_CUBE,
     _BLOCK,
+    _NMAX_LIMIT,
     _block_columns,
     _nmax_scalar,
     _nmax_vec,
     count_upto,
 )
-
-# A lattice line of the plane and quadrant counts of at most this many points
-# is summed by the scalar kernel, a longer one by the vector kernel: one line
-# costs about 1 us per point scalar and 25 us vector, equal at 24 points
-# (median of 60 timings per length on four boxes, 2-core Intel Xeon host).
-_VECTOR_MIN = 24
 
 
 @dataclass(frozen=True)
@@ -125,17 +128,16 @@ class RemainderExponents:
     theta: float = 131.0 / 208.0
 
 
+# The (u, v) coordinate indices of the plane orthogonal to axis 1, 2 and 3.
+_PLANE_AXES = ((1, 2), (0, 2), (0, 1))
+
+
 def _axis_pairs(inv: tuple[float, float, float], axis: int) -> tuple[float, float]:
     # The in-plane inverse-square pair, in coordinate order, so the two-term
     # predicate matches the three-term one with the dropped term equal to 0.
-    q1, q2, q3 = inv
-    if axis == 1:
-        return q2, q3
-    if axis == 2:
-        return q1, q3
-    if axis == 3:
-        return q1, q2
-    raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+    if axis not in (1, 2, 3):
+        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+    return tuple(inv[i] for i in _PLANE_AXES[axis - 1])
 
 
 def _check_lambda(lam: float, full_lattice: Cuboid | None = None) -> float:
@@ -155,111 +157,155 @@ def _check_lambda(lam: float, full_lattice: Cuboid | None = None) -> float:
     return lam * (1.0 + COUNT_EPS)
 
 
+def _runs(size: np.ndarray, guess: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Runs [i, j) of pieces, at most _BLOCK entries (or one piece) whose
+    largest first guess times their entries is at most 2^53, as
+    ``_block_columns`` sizes a block; the kernel refuses a lone piece past it."""
+    end, guess = np.cumsum(size).tolist(), guess.tolist()
+    i = start = 0
+    while i < len(end):
+        j = max(i + 1, bisect_right(end, start + _BLOCK))
+        top = max(guess[i:j])
+        if top * (end[j - 1] - start) > _NMAX_LIMIT:
+            j = max(i + 1, bisect_right(end, start + _NMAX_LIMIT // top))
+        yield i, j
+        i, start = j, end[j - 1]
+
+
+def _count_pieces(pieces: list[tuple], owners: int, points) -> list[int]:
+    """Exact sums of ``points(t1, t2, c, g, lam_eff)`` per owner over pieces
+    (owner, x1, rows, lo, hi, q1, q2, q3, lam_eff), the rectangles x1 ..
+    x1+rows-1 by x2 = lo .. hi-1, c = x1^2*q1 + x2^2*q2 and g = _nmax_vec(c,
+    q3, lam_eff): one call per run, a row broadcast for a run of one piece."""
+    totals = [0] * owners
+    if not pieces:
+        return totals
+    owner, x1, rows, lo, hi, q1, q2, q3, lam_eff = (np.array(col) for col in zip(*pieces))
+    size = rows * (hi - lo)
+    c = (x1 * x1) * q1 + (lo * lo) * q2
+    for i, j in _runs(size, np.sqrt(np.maximum((lam_eff / PI_SQUARED - c) / q3, 0.0))):
+        starts = np.cumsum(size[i:j]) - size[i:j]
+        if j == i + 1:
+            p, t1 = i, np.arange(x1[i], x1[i] + rows[i], dtype=np.float64)[:, None]
+            t2 = np.arange(lo[i], hi[i], dtype=np.float64)
+        else:
+            p = np.repeat(np.arange(i, j), size[i:j])
+            r, k = np.divmod(np.arange(len(p)) - starts[p - i], (hi - lo)[p])
+            t1, t2 = (x1[p] + r).astype(np.float64), (lo[p] + k).astype(np.float64)
+        c = (t1 * t1) * q1[p] + (t2 * t2) * q2[p]
+        g = _nmax_vec(c.ravel(), q3[p], lam_eff[p]).reshape(c.shape)
+        sums = np.add.reduceat(points(t1, t2, c, g, lam_eff[p]).ravel(), starts)
+        for b, s in zip(owner[i:j].tolist(), sums.tolist()):
+            totals[b] += s
+    return totals
+
+
+def _line_sums(lines: list[tuple[float, float, float, int]]) -> list[int]:
+    """Per family (qu, qv, lam_eff, n) of ``lines``, the sum over u = 1 .. n
+    of _nmax_scalar(u^2*qu, qv, lam_eff): the points with v >= 1 of the lines
+    u = 1 .. n (swap qu and qv for the v lines), in pieces of _BLOCK lines."""
+    pieces = [(f, 0, 1, lo, min(lo + _BLOCK, n + 1), 0.0, qu, qv, lam_eff)
+              for f, (qu, qv, lam_eff, n) in enumerate(lines) for lo in range(1, n + 1, _BLOCK)]
+    return _count_pieces(pieces, len(lines), lambda t1, t2, c, g, lam_eff: g)
+
+
+def _full_points(t1, t2, c, g, lam_eff):
+    # Each column's 2 g + 1 points per sign of x1 and x2, in place (faster).
+    g *= 2
+    g += 1
+    g *= np.where(t1 == 0.0, 1, 2)
+    g *= np.where(t2 == 0.0, 1, 2)
+    g[PI_SQUARED * c > lam_eff] = 0
+    return g
+
+
+def _full_counts(pairs: Sequence[tuple[Cuboid, float]]) -> list[int]:
+    """``count_full`` for each (cuboid, lam) of ``pairs``, in one pass over
+    blocks of x1 slices by the columns of their first (widest) row, a slice
+    that alone fills a block cut into pieces of _BLOCK columns."""
+    pieces = []
+    for b, (cuboid, lam) in enumerate(pairs):
+        lam_eff = _check_lambda(lam, full_lattice=cuboid)
+        q1, q2, q3 = cuboid.inv_sq
+        top = _nmax_scalar(0.0, q1, lam_eff)
+        x1 = 0
+        while x1 <= top:
+            c1 = float(x1 * x1) * q1
+            width = _nmax_scalar(c1, q2, lam_eff) + 1
+            rows = max(1, min(_block_columns(c1, q3, lam_eff) // width, top + 1 - x1))
+            step = _BLOCK // rows
+            pieces += [(b, x1, rows, lo, min(lo + step, width), q1, q2, q3, lam_eff)
+                       for lo in range(0, width, step)]
+            x1 += rows
+    return _count_pieces(pieces, len(pairs), _full_points)
+
+
 def count_full(cuboid: Cuboid, lam: float) -> int:
     """Integer lattice points (all signs and zeros) in the closed E(lam)."""
-    lam_eff = _check_lambda(lam, full_lattice=cuboid)
-    q1, q2, q3 = cuboid.inv_sq
-    # Blocks of consecutive x1 slices: the rectangle of rows x1 .. x1+rows-1
-    # by columns x2 = 0 .. width-1, width the extent of its first (widest)
-    # row, flattened row by row so that it starts at its smallest c.  A
-    # column past its row's end holds no point; a slice that alone fills a
-    # block is cut into pieces of _BLOCK columns.
-    top = _nmax_scalar(0.0, q1, lam_eff)
-    total = 0
-    x1 = 0
-    while x1 <= top:
-        c1 = float(x1 * x1) * q1
-        width = _nmax_scalar(c1, q2, lam_eff) + 1
-        rows = max(1, min(_block_columns(c1, q3, lam_eff) // width, top + 1 - x1))
-        t1 = np.arange(x1, x1 + rows, dtype=np.float64)
-        row_c = ((t1 * t1) * q1)[:, None]
-        row_weight = np.where(t1 == 0.0, 1, 2)
-        step = _BLOCK // rows
-        for lo in range(0, width, step):
-            t2 = np.arange(lo, min(lo + step, width), dtype=np.float64)
-            c = row_c + (t2 * t2) * q2
-            g = _nmax_vec(c.ravel(), q3, lam_eff).reshape(c.shape)
-            points = np.where(PI_SQUARED * c <= lam_eff, 2 * g + 1, 0)
-            total += int(row_weight @ points @ np.where(t2 == 0.0, 1, 2))
-        x1 += rows
-    return total
+    return _full_counts([(cuboid, lam)])[0]
 
 
-def _line_sum(qu: float, qv: float, lam_eff: float, n: int) -> int:
-    """Sum over u = 1 .. n of _nmax_scalar(u^2*qu, qv, lam_eff): the points
-    with v >= 1 of the lines u = 1 .. n; swap qu and qv for the v lines.
-
-    A line of at most _VECTOR_MIN points takes the scalar kernel, a longer
-    one a vector kernel call per _BLOCK points.
-    """
-    if n <= _VECTOR_MIN:
-        return sum(_nmax_scalar(float(u * u) * qu, qv, lam_eff) for u in range(1, n + 1))
-    total = 0
-    for lo in range(1, n + 1, _BLOCK):
-        u = np.arange(lo, min(lo + _BLOCK, n + 1), dtype=np.float64)
-        total += int(_nmax_vec((u * u) * qu, qv, lam_eff).sum())
-    return total
-
-
-def count_plane(cuboid: Cuboid, lam: float, axis: int) -> int:
-    """Integer lattice points in the plane section of E(lam) through the
-    origin orthogonal to ``axis``.
-
-    Summed over the lines of constant v, the transpose of the u lines of
-    ``_quadrant_count``.  v is the longer side, so there are more of them:
-    more than DEFAULT_CANDIDATE_CAP lines that hold a point off the v axis
-    raise ResourceLimitError.
-    """
-    lam_eff = _check_lambda(lam)
-    qu, qv = _axis_pairs(cuboid.inv_sq, axis)
-    # 2 f_u + 1 points on the u axis; then each line v = +-1 .. +-f_v holds
-    # one point on the v axis and 2 _nmax_scalar(v^2*qv, qu) off it, which
-    # is 0 past the m lines that hold a point with u >= 1.
+def _v_lines(qu: float, qv: float, lam: float, lam_eff: float) -> tuple[float, float, float, int]:
+    """A plane's lines v = 1 .. m that hold a point with u >= 1; v is the
+    longer side, so more than DEFAULT_CANDIDATE_CAP raise ResourceLimitError."""
     m = _nmax_scalar(qu, qv, lam_eff)
     if m > DEFAULT_CANDIDATE_CAP:
         raise ResourceLimitError(
             f"the plane count at lambda={lam:.6g} sums {m} lines, "
             f"more than the candidate cap {DEFAULT_CANDIDATE_CAP}"
         )
-    return (
-        2 * _nmax_scalar(0.0, qu, lam_eff) + 1
-        + 2 * (2 * _line_sum(qv, qu, lam_eff, m) + _nmax_scalar(0.0, qv, lam_eff))
-    )
+    return qv, qu, lam_eff, m
+
+
+def _plane_counts(pairs: Sequence[tuple[Cuboid, float]], axis: int) -> list[int]:
+    """``count_plane`` for each (cuboid, lam) of ``pairs``, in one line pass."""
+    axes, lines = [], []
+    for cuboid, lam in pairs:
+        lam_eff = _check_lambda(lam)
+        qu, qv = _axis_pairs(cuboid.inv_sq, axis)
+        lines.append(_v_lines(qu, qv, lam, lam_eff))
+        axes.append((_nmax_scalar(0.0, qu, lam_eff), _nmax_scalar(0.0, qv, lam_eff)))
+    # 2 f_u + 1 points on the u axis, f_v on each half of the v axis, 2 s off.
+    return [2 * f_u + 1 + 2 * (2 * s + f_v) for (f_u, f_v), s in zip(axes, _line_sums(lines))]
+
+
+def count_plane(cuboid: Cuboid, lam: float, axis: int) -> int:
+    """Integer lattice points in the plane section of E(lam) through the
+    origin orthogonal to ``axis``, summed over the lines of constant v (the
+    transpose of the u lines of ``_quadrant_count``)."""
+    return _plane_counts([(cuboid, lam)], axis)[0]
 
 
 def _quadrant_count(qu: float, qv: float, lam_eff: float) -> int:
     # The lines u = 1, 2, ... that hold a point with v >= 1.
-    return _line_sum(qu, qv, lam_eff, _nmax_scalar(qv, qu, lam_eff))
+    return _line_sums([(qu, qv, lam_eff, _nmax_scalar(qv, qu, lam_eff))])[0]
 
 
-def _axis_count(q: float, lam_eff: float) -> int:
-    return _nmax_scalar(0.0, q, lam_eff)
+def count_bundles(cuboids: Sequence[Cuboid], lams: Sequence[float]) -> list[CountBundle]:
+    """``count_bundle`` for each box of ``cuboids`` at its lambda in ``lams``:
+    every box's caps first, then N by an octant walk per box, the six line
+    families (T_x, T+) of all boxes in one pass and their full lattices in
+    another."""
+    pairs = list(zip(cuboids, lams, strict=True))
+    heads, lines = [], []
+    for cuboid, lam in pairs:
+        lam_eff = _check_lambda(lam, full_lattice=cuboid)
+        n = count_upto(cuboid, lam)
+        planes = [_axis_pairs(cuboid.inv_sq, axis) for axis in (1, 2, 3)]
+        lines += [_v_lines(qu, qv, lam, lam_eff) for qu, qv in planes]
+        lines += [(qu, qv, lam_eff, _nmax_scalar(qv, qu, lam_eff)) for qu, qv in planes]
+        heads.append((lam, n, [_nmax_scalar(0.0, q, lam_eff) for q in cuboid.inv_sq]))
+    sums = _line_sums(lines)
+    bundles = []
+    for b, ((lam, n, f), t) in enumerate(zip(heads, _full_counts(pairs))):
+        t_x = [2 * f[i] + 1 + 2 * (2 * s + f[j]) for (i, j), s in zip(_PLANE_AXES, sums[6 * b :])]
+        bundles.append(CountBundle(lam, n, t, *t_x, *sums[6 * b + 3 : 6 * b + 6], *f))
+    return bundles
 
 
 def count_bundle(cuboid: Cuboid, lam: float) -> CountBundle:
     """All counting quantities at ``lam``; fields are mutually consistent."""
-    lam_eff = _check_lambda(lam, full_lattice=cuboid)
-    n = count_upto(cuboid, lam)
-    inv = cuboid.inv_sq
-    q1, q2, q3 = inv
-    planes = [_axis_pairs(inv, axis) for axis in (1, 2, 3)]
-    t_x = [count_plane(cuboid, lam, axis) for axis in (1, 2, 3)]
-    tp_x = [_quadrant_count(qu, qv, lam_eff) for qu, qv in planes]
-    floors = [_axis_count(q, lam_eff) for q in (q1, q2, q3)]
-    return CountBundle(
-        lam,
-        n,
-        count_full(cuboid, lam),
-        t_x[0],
-        t_x[1],
-        t_x[2],
-        tp_x[0],
-        tp_x[1],
-        tp_x[2],
-        floors[0],
-        floors[1],
-        floors[2],
-    )
+    return count_bundles([cuboid], [lam])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,18 @@ LAM = 2000.0
 
 
 def drop_last_line(family):
-    """A _line_sum that skips the last line of the v lines (family "v",
-    qu < qv, the shorter side's q second) or of the u lines (family "u")."""
-    line_sum = lattice._line_sum
+    """A _line_sums that skips the last line of each v line family (family
+    "v", qu < qv, the shorter side's q second) or of each u line family
+    (family "u")."""
+    line_sums = lattice._line_sums
 
-    def faulty(qu, qv, lam_eff, n):
-        hit = (qu < qv) if family == "v" else (qu > qv)
-        return line_sum(qu, qv, lam_eff, n - 1 if hit and n > 0 else n)
+    def faulty(lines):
+        def hit(qu, qv):
+            return (qu < qv) if family == "v" else (qu > qv)
+
+        return line_sums(
+            [(qu, qv, lam_eff, n - 1 if hit(qu, qv) and n > 0 else n) for qu, qv, lam_eff, n in lines]
+        )
 
     return faulty
 
@@ -40,7 +45,7 @@ def test_sound_counts_are_consistent():
 
 @pytest.mark.parametrize("family", ["v", "u"])
 def test_a_fault_in_one_line_family_breaks_the_plane_identities(monkeypatch, family):
-    monkeypatch.setattr(lattice, "_line_sum", drop_last_line(family))
+    monkeypatch.setattr(lattice, "_line_sums", drop_last_line(family))
     bundle = count_bundle(BOX, LAM)
     residuals = bundle.plane_identity_residuals()
     # A dropped line held points off the axes, 4 of them per point counted.
