@@ -210,7 +210,7 @@ def _line_sums(lines: list[tuple[float, float, float, int]]) -> list[int]:
 
 
 def _full_points(t1, t2, c, g, lam_eff):
-    # Each column's 2 g + 1 points per sign of x1 and x2, in place (faster).
+    # Each column's 2 g + 1 points per sign of x1 and x2; in place, as copies cost more.
     g *= 2
     g += 1
     g *= np.where(t1 == 0.0, 1, 2)
@@ -283,9 +283,9 @@ def _quadrant_count(qu: float, qv: float, lam_eff: float) -> int:
 
 def count_bundles(cuboids: Sequence[Cuboid], lams: Sequence[float]) -> list[CountBundle]:
     """``count_bundle`` for each box of ``cuboids`` at its lambda in ``lams``:
-    every box's caps first, then N by an octant walk per box, the six line
-    families (T_x, T+) of all boxes in one pass and their full lattices in
-    another."""
+    per box its column cap, N by an octant walk and its plane caps; then the
+    six line families (T_x, T+) of all boxes in one pass, and their full
+    lattices in another."""
     pairs = list(zip(cuboids, lams, strict=True))
     heads, lines = [], []
     for cuboid, lam in pairs:
