@@ -44,6 +44,7 @@ from .spectrum import (
     cube_spectrum_table,
     eigenvalue_of_index,
     kth_eigenvalue,
+    kth_eigenvalues,
     spectrum_points,
 )
 

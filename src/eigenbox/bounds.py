@@ -40,12 +40,14 @@ class BoundQuery:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One inequality evaluation: lhs <= rhs expected."""
+    """One inequality evaluation: lhs <= rhs expected, or lhs == rhs for an
+    ``exact`` report (an identity between integer counts)."""
 
     name: str
     inputs: dict[str, Any] = field(compare=False)
     lhs: float
     rhs: float
+    exact: bool = False
 
     @property
     def slack(self) -> float:
@@ -53,6 +55,8 @@ class BoundReport:
 
     @property
     def passed(self) -> bool:
+        if self.exact:
+            return self.slack == 0.0
         return self.slack >= -REPORT_EPS * max(1.0, abs(self.rhs))
 
 

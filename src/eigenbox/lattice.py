@@ -15,9 +15,11 @@ in :mod:`eigenbox.spectrum` still counts the cube in integer arithmetic.
 
 ``count_bundles`` counts many boxes at once, as the identity suite of
 ``verify`` does: the six line families (T_x, T+) of all boxes in one ragged
-pass of vector kernel calls and their full lattices in another, while N
-stays on the octant walk of ``count_upto``, one per box, so the octant
-identity checks it against an independent enumeration.
+pass of vector kernel calls and their full lattices in another, while N of
+all boxes comes from one pass of the octant band walk of
+:mod:`eigenbox.spectrum` (``_octant_bands``), which shares no code with
+those passes, so the octant identity checks it against an independent
+enumeration.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .spectrum import (
     _block_columns,
     _nmax_scalar,
     _nmax_vec,
-    count_upto,
+    _octant_bands,
 )
 
 
@@ -283,14 +285,29 @@ def _quadrant_count(qu: float, qv: float, lam_eff: float) -> int:
 
 def count_bundles(cuboids: Sequence[Cuboid], lams: Sequence[float]) -> list[CountBundle]:
     """``count_bundle`` for each box of ``cuboids`` at its lambda in ``lams``:
-    per box its column cap, N by an octant walk and its plane caps; then the
-    six line families (T_x, T+) of all boxes in one pass, and their full
-    lattices in another."""
+    per box its column cap; N of all boxes in one octant pass of
+    ``_octant_bands``; per box its plane caps; then the six line families
+    (T_x, T+) of all boxes in one pass, and their full lattices in another.
+    A refused batch is redone box by box, so a refusal is the one that the
+    first refusing box raises alone."""
     pairs = list(zip(cuboids, lams, strict=True))
+    try:
+        return _bundles(pairs)
+    except (ResourceLimitError, ValueError):
+        if len(pairs) > 1:
+            for pair in pairs:
+                _bundles([pair])
+        raise
+
+
+def _bundles(pairs: list[tuple[Cuboid, float]]) -> list[CountBundle]:
+    lam_effs = [_check_lambda(lam, full_lattice=cuboid) for cuboid, lam in pairs]
+    # N by the octant walk, which shares no code with the lattice passes
+    # below, so the octant identity checks one enumeration against another.
+    octant = [(cuboid.inv_sq, lam_eff, lam_eff) for (cuboid, _), lam_eff in zip(pairs, lam_effs)]
+    ns = [n for n, _, _ in _octant_bands(octant, DEFAULT_CANDIDATE_CAP)]
     heads, lines = [], []
-    for cuboid, lam in pairs:
-        lam_eff = _check_lambda(lam, full_lattice=cuboid)
-        n = count_upto(cuboid, lam)
+    for (cuboid, lam), lam_eff, n in zip(pairs, lam_effs, ns):
         planes = [_axis_pairs(cuboid.inv_sq, axis) for axis in (1, 2, 3)]
         lines += [_v_lines(qu, qv, lam, lam_eff) for qu, qv in planes]
         lines += [(qu, qv, lam_eff, _nmax_scalar(qv, qu, lam_eff)) for qu, qv in planes]

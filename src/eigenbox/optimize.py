@@ -53,7 +53,7 @@ from .spectrum import (
     PI_SQUARED,
     Cuboid,
     ResourceLimitError,
-    _octant_band,
+    _octant_bands,
     cube_spectrum_table,
     kth_eigenvalue,
 )
@@ -172,12 +172,14 @@ class _Search:
         """Runs of whole root cells with their rows, at most ``_BLOCK`` rows
         (or one cell) a chunk, like the chunks of ``split``.  A cell's rows
         are the branches whose value on the corner box (1/u1, 1/v1, u0 v0),
-        their least over the cell, is at most best."""
+        their least over the cell, is at most best; one ``_octant_bands``
+        pass finds them for all the cells."""
+        cells = root_cells().T.tolist()
+        hi = self.best * (1.0 + MARGIN)
+        bands = _octant_bands(
+            [((1.0 / u1, 1.0 / v1, u0 * v0), 0.0, hi) for u0, u1, v0, v1 in cells], self.cap)
         boxes, rows, size = [], [], 0
-        for box in root_cells().T:
-            u0, u1, v0, v1 = box
-            _, _, t = _octant_band(
-                (1.0 / u1, 1.0 / v1, u0 * v0), 0.0, self.best * (1.0 + MARGIN), self.cap)
+        for box, (_, _, t) in zip(cells, bands):
             if rows and size + t.shape[1] > _BLOCK:
                 yield self._root_chunk(boxes, rows)
                 boxes, rows, size = [], [], 0

@@ -79,11 +79,44 @@ def _json_value(value: Any) -> Any:
     return None if isinstance(value, float) and math.isnan(value) else value
 
 
+# The % template of a value type in an input_repr cell: the bytes of its
+# cell rule.  A value of any other type is written by its cell rule.
+_INPUT_TEMPLATES = {float: "%.17g", np.float64: "%.17g", int: "%d"}
+
+
+def _inputs_rule(keys: tuple, kinds: tuple) -> Callable[[tuple], str]:
+    """The input_repr cell of the values of a dict with these keys and value
+    types, by one % template."""
+    fmt = ";".join([f"{key}=".replace("%", "%%") + _INPUT_TEMPLATES.get(kind, "%s")
+                    for key, kind in zip(keys, kinds)])
+    if all(kind in _INPUT_TEMPLATES for kind in kinds):
+        return fmt.__mod__
+    rules = [kind not in _INPUT_TEMPLATES for kind in kinds]
+    return lambda values: fmt % tuple([_cell(v) if rule else v for v, rule in zip(values, rules)])
+
+
+def _inputs_cells(column: list[dict]) -> list[str]:
+    """``_CELL_RULES[dict]`` for each dict of ``column``, with one template
+    per signature (keys, value types)."""
+    rules, cells = {}, []
+    for inputs in column:
+        values = tuple(inputs.values())
+        signature = (tuple(inputs), tuple(map(type, values)))
+        rule = rules.get(signature)
+        if rule is None:
+            rule = rules[signature] = _inputs_rule(*signature)
+        cells.append(rule(values))
+    return cells
+
+
 def _column(values: list) -> list[str]:
     """The CSV cells of one column, quoted where a cell needs it."""
     kinds = set(map(type, values))
-    rule = _CELL_RULES.get(kinds.pop(), str) if len(kinds) == 1 else _cell
-    cells = list(map(rule, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is dict:
+        cells = _inputs_cells(values)
+    else:
+        cells = list(map(_CELL_RULES.get(kind, str) if kind else _cell, values))
     joined = "".join(cells)
     if '"' in joined:
         return [

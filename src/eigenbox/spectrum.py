@@ -16,12 +16,16 @@ each block at every lambda.  The unit cube takes the same path, here and in
 :mod:`eigenbox.lattice`: its sums are exact integers below 2^53, so the
 predicate gives the integer count.  Only ``cube_spectrum_table`` stays
 integer.  ``kth_eigenvalue`` and ``spectrum_points`` walk the same blocks
-through one band kernel, which counts each column's i3 points at both edges
-of a band (lo, hi] in one vector kernel call and returns the band's
-eigenvalues with their index triples.  The band sits around the two-term Weyl
-guess for lambda_k (from 0 for a spectrum) and widens until it holds the
-k-th eigenvalue and its ``DEGENERACY_RTOL`` window; ``candidate_cap``
-bounds how many points the band may hold.  ``spectrum_points`` sorts the
+through one band pass, ``_octant_bands``, which counts each column's i3
+points at both edges of a band (lo, hi] and returns the band's eigenvalues
+with their index triples.  It walks the bands of many boxes at once: their
+block pieces share runs of at most ``_BLOCK`` entries, one vector kernel
+call a run, so ``kth_eigenvalues`` pays numpy's dispatch per run rather than
+per box; one box keeps one piece a run.  The band sits around the two-term
+Weyl guess for lambda_k (from 0 for a spectrum) and widens until it holds
+the k-th eigenvalue and its ``DEGENERACY_RTOL`` window; ``candidate_cap``
+bounds how many points the band may hold.  An empty band (lambda, lambda]
+is a count: the identity suite takes N of all its boxes from one such pass.  ``spectrum_points`` sorts the
 band and groups it into spectral points ``_GROUP`` values at a time: two
 ``searchsorted`` calls give the chunk's window ends and starts, and its
 index triples become Python tuples in one call, so beside the band the
@@ -63,6 +67,10 @@ DEFAULT_CANDIDATE_CAP = 24_000_000
 # blocked pass counts.  A block's arrays then take a few MiB at most, whatever
 # lambda is.
 _BLOCK = 1 << 14
+
+# The most band points that a pass over many bands assembles at once: some
+# 2.7 MB at 41 B a point.  One band that holds more is assembled alone.
+_BAND_POINTS = 1 << 16
 
 # The most sorted band values whose spectral points ``spectrum_points`` groups
 # in one pass.  A pass holds the window ends of its values (about 40 B each)
@@ -233,20 +241,20 @@ def _slice_width(rem: float, q2: float) -> int:
     return int(math.sqrt(max(rem, 0.0) / q2)) + 2
 
 
-def _octant_blocks(
+def _octant_pieces(
     inv: tuple[float, float, float], lam_eff: float, cap: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[int, int, int, int]]:
     """The octant below ``lam_eff`` in blocks of consecutive i1 slices.
 
     A block is the rectangle of rows i1 .. i1+rows-1 by columns i2 = 1 ..
     width, with width the sqrt estimate for its first (widest) row.  Flattened
-    row by row it starts at its smallest c, so one ``_nmax_vec`` call counts
-    the i3 points of all its columns.  A slice that alone fills a block is
-    cut into pieces of ``_BLOCK`` columns.  If the first row's last column
-    holds a point, the estimate fell short for every row: the block goes on
-    with the next columns.  Yields, per piece, its rows t1 and columns t2 (as
-    floats) and the flat c = t1^2*q1 + t2^2*q2 of its columns.  A slice wider
-    than ``cap`` columns raises :class:`ResourceLimitError`.
+    row by row it starts at its smallest c = t1^2*q1 + t2^2*q2, so one
+    ``_nmax_vec`` call counts the i3 points of all its columns.  A slice that
+    alone fills a block is cut into pieces of ``_BLOCK`` columns.  If the
+    first row's last column holds a point, the estimate fell short for every
+    row: the block goes on with the next columns.  Yields, per piece, (i1,
+    rows, lo, hi): its rows i1 .. i1+rows-1 by its columns lo .. hi-1.  A
+    slice wider than ``cap`` columns raises :class:`ResourceLimitError`.
     """
     q1, q2, q3 = inv
     top = lam_eff / PI_SQUARED
@@ -263,76 +271,117 @@ def _octant_blocks(
         if PI_SQUARED * (c1 + q2 + q3) > lam_eff:
             return
         rows = max(1, min(_block_columns(c1 + q2, q3, lam_eff) // width, last + 1 - i1))
-        t1 = np.arange(i1, i1 + rows, dtype=np.float64)
-        row_c = ((t1 * t1) * q1)[:, None]
         step = _BLOCK // rows
         lo = 1
         while lo <= width:
-            t2 = np.arange(lo, min(lo + step, width + 1), dtype=np.float64)
-            c = (row_c + (t2 * t2) * q2).ravel()
-            yield t1, t2, c
-            lo += len(t2)
+            hi = min(lo + step, width + 1)
+            yield i1, rows, lo, hi
+            lo = hi
             # The first row's last column holds a point iff it holds i3 = 1,
             # whose term (1.0*1.0)*q3 is q3.
-            if lo > width and PI_SQUARED * (float(c[len(t2) - 1]) + q3) <= lam_eff:
+            if lo > width and PI_SQUARED * (c1 + float(width * width) * q2 + q3) <= lam_eff:
                 width *= 2
         i1 += rows
 
 
-def _octant_band(
-    inv: tuple[float, float, float], lo_eff: float, hi_eff: float, cap: int
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """One blocked walk over the octant for the band (lo_eff, hi_eff].
+def _octant_blocks(
+    inv: tuple[float, float, float], lam_eff: float, cap: int
+) -> Iterator[np.ndarray]:
+    """The flat c = t1^2*q1 + t2^2*q2 of each piece of ``_octant_pieces``."""
+    q1, q2, _ = inv
+    for i1, rows, lo, hi in _octant_pieces(inv, lam_eff, cap):
+        t1 = np.arange(i1, i1 + rows, dtype=np.float64)
+        t2 = np.arange(lo, hi, dtype=np.float64)
+        yield (((t1 * t1) * q1)[:, None] + (t2 * t2) * q2).ravel()
 
-    Returns the number of points with eigenvalue <= ``lo_eff``, and the
-    eigenvalues (unsorted) of the points in the band with a (3, n) array of
-    their (i1, i2, i3).  The blocks are those of ``_octant_blocks`` at
-    ``hi_eff``; one ``_nmax_vec`` call per block counts each column's i3
-    points at both edges, or at ``hi_eff`` alone when the block lies wholly
-    above ``lo_eff``.  Each value is computed with the float64 operations of
-    the membership predicate, so it is the number the counters compare.  A
-    slice wider than ``cap`` columns, or more than ``cap`` points in the band,
-    raises :class:`ResourceLimitError` before any point array exists.
+
+def _count_piece(
+    inv: tuple[float, float, float], lo_eff: float, hi_eff: float,
+    i1: int, rows: int, lo: int, hi: int,
+) -> tuple[int, int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Count one block piece at both edges of its band, by the row broadcast
+    at scalar q3 and edges, and only at hi when its first (lowest) column
+    lies above lo.
+
+    Returns its points at or below lo, its points in the band, and for its
+    columns with a point in the band, in order, c12, the band's count and
+    (i1, i2, the column's first i3 in the band).  A band with lo == hi is a
+    count: its columns hold no band points.
     """
-    q3 = inv[2]
-    below = size = 0
-    # Per block piece, for its columns with a point in the band: c12, the
-    # band's count and (i1, i2, the column's first i3 in the band).
-    c12s, counts, cols = [], [], []
-    for t1, t2, c in _octant_blocks(inv, hi_eff, cap):
-        # The piece's first column holds its lowest point.
-        if PI_SQUARED * (float(c[0]) + q3) <= lo_eff:
-            g = _nmax_vec(c, q3, np.array([[hi_eff], [lo_eff]]))
-            floor = g[1]
-            below += int(floor.sum())
-            count = g[0] - floor
-        else:
-            count = _nmax_vec(c, q3, hi_eff)
-            floor = 0
-        size += int(count.sum())
-        if size > cap:
-            raise ResourceLimitError(
-                f"band ({lo_eff:.6g}, {hi_eff:.6g}] holds more than "
-                f"{cap} candidates (the candidate cap)"
-            )
-        col = np.empty((3, len(t1), len(t2)), dtype=np.int64)
-        col[0] = t1[:, None]
-        col[1] = t2
-        col = col.reshape(3, -1)
-        col[2] = floor + 1
-        nz = count.nonzero()[0]
-        c12s.append(c[nz])
-        counts.append(count[nz])
-        cols.append(col[:, nz])
-    if not cols:
-        return below, np.empty(0), np.empty((3, 0), dtype=np.int64)
-    # Column j holds the band's i3 = col[2, j] .. col[2, j] + count[j] - 1.
-    count, col, c12 = (
-        p[0] if len(p) == 1 else np.concatenate(p, axis=-1) for p in (counts, cols, c12s)
+    q1, q2, q3 = inv
+    t1 = np.arange(i1, i1 + rows, dtype=np.float64)
+    t2 = np.arange(lo, hi, dtype=np.float64)
+    c = (((t1 * t1) * q1)[:, None] + (t2 * t2) * q2).ravel()
+    if lo_eff == hi_eff:
+        return int(_nmax_vec(c, q3, lo_eff).sum()), 0, _NO_COLUMNS
+    if PI_SQUARED * (float(c[0]) + q3) > lo_eff:
+        below, floor, count = 0, 0, _nmax_vec(c, q3, hi_eff)
+    else:
+        g = _nmax_vec(c, q3, np.array([[hi_eff], [lo_eff]]))
+        floor = g[1]
+        below, count = int(floor.sum()), g[0] - floor
+    col = np.empty((3, rows, len(t2)), dtype=np.int64)
+    col[0] = t1[:, None]
+    col[1] = t2
+    col = col.reshape(3, -1)
+    col[2] = floor + 1
+    nz = count.nonzero()[0]
+    return below, int(count.sum()), (c[nz], count[nz], col[:, nz])
+
+
+def _count_ragged(
+    bands: Sequence[tuple[tuple[float, float, float], float, float]], run: list[tuple]
+) -> tuple[list[tuple[int, int, int]], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``_count_piece`` for each piece (band, i1, rows, lo, hi) of ``run``,
+    in one ``_nmax_vec`` call over the run's flat entries at their own q and
+    edges, always at both (an entry above lo counts 0 there).
+
+    Returns, per piece, its points at or below lo, its points in the band
+    and its columns with a point in the band; and the pieces' columns, in
+    order, as ``_count_piece`` gives them.
+    """
+    b, i1, rows, lo, hi = (np.array(col) for col in zip(*run))
+    q1, q2, q3, lo_eff, hi_eff = (
+        np.array(col) for col in zip(*[(*bands[x][0], *bands[x][1:]) for x in b.tolist()])
     )
+    # The run's rows, then its entries row by row: repeats, no division.
+    piece = np.repeat(np.arange(len(run)), rows)
+    first = np.cumsum(rows) - rows
+    i1 = i1[piece] + (np.arange(len(piece)) - first[piece])
+    t1 = i1.astype(np.float64)
+    width = (hi - lo)[piece]
+    at = np.cumsum(width) - width
+    i2 = np.repeat(lo[piece] - at, width) + np.arange(at[-1] + width[-1])
+    t2 = i2.astype(np.float64)
+    c = np.repeat((t1 * t1) * q1[piece], width) + (t2 * t2) * np.repeat(q2[piece], width)
+    counting = np.array_equal(lo_eff, hi_eff)
+    q3, lo_eff, hi_eff = (np.repeat(x[piece], width) for x in (q3, lo_eff, hi_eff))
+    starts = at[first]
+    if counting:
+        floors = np.add.reduceat(_nmax_vec(c, q3, lo_eff), starts).tolist()
+        return [(f, 0, 0) for f in floors], _NO_COLUMNS
+    g = _nmax_vec(c, q3, np.stack((hi_eff, lo_eff)))
+    floor, count = g[1], g[0] - g[1]
+    nz = count.nonzero()[0]
+    ends = np.searchsorted(nz, [*starts[1:].tolist(), len(c)]).tolist()
+    stats = zip(np.add.reduceat(floor, starts).tolist(), np.add.reduceat(count, starts).tolist(),
+                np.diff(ends, prepend=0).tolist())
+    col = np.stack((i1[np.searchsorted(at, nz, "right") - 1], i2[nz], floor[nz] + 1))
+    return list(stats), (c[nz], count[nz], col)
+
+
+_NO_COLUMNS = (np.empty(0), np.empty(0, dtype=np.int64), np.empty((3, 0), dtype=np.int64))
+
+
+def _band_points(
+    c12: np.ndarray, count: np.ndarray, col: np.ndarray, q3: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The values and (3, n) index triples of the band points of columns
+    (c12, count, col), column by column; ``q3`` is a scalar or one per point."""
+    # Column j holds the band's i3 = col[2, j] .. col[2, j] + count[j] - 1.
     col[2] -= count.cumsum() - count
     triples = col.repeat(count, axis=1)
-    triples[2] += np.arange(size, dtype=np.int64)
+    triples[2] += np.arange(triples.shape[1], dtype=np.int64)
     # pi^2 * (c12 + (t3*t3)*q3) in place: one temporary of 8 B a point.
     values = c12.repeat(count)
     t3 = triples[2].astype(np.float64)
@@ -340,7 +389,145 @@ def _octant_band(
     t3 *= q3
     values += t3
     values *= PI_SQUARED
-    return below, values, triples
+    return values, triples
+
+
+def _band_cap(lo_eff: float, hi_eff: float, cap: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"band ({lo_eff:.6g}, {hi_eff:.6g}] holds more than {cap} candidates (the candidate cap)"
+    )
+
+
+def _octant_band(
+    inv: tuple[float, float, float], lo_eff: float, hi_eff: float, cap: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """``_octant_bands`` for the one band (lo_eff, hi_eff]: one run a piece,
+    at the scalar q3 and edges of the box, and no run or group bookkeeping."""
+    below = size = 0
+    parts = []
+    for piece in _octant_pieces(inv, hi_eff, cap):
+        floor, count, part = _count_piece(inv, lo_eff, hi_eff, *piece)
+        below += floor
+        size += count
+        if size > cap:
+            raise _band_cap(lo_eff, hi_eff, cap)
+        if len(part[0]):
+            parts.append(part)
+    if not parts:
+        return below, np.empty(0), np.empty((3, 0), dtype=np.int64)
+    c12, count, col = (p[0] if len(p) == 1 else np.concatenate(p, axis=-1) for p in zip(*parts))
+    return (below, *_band_points(c12, count, col, inv[2]))
+
+
+def _band_runs(
+    bands: Sequence[tuple[tuple[float, float, float], float, float]], cap: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """``_octant_bands`` for many bands, without its retry of a refusal.
+
+    Whole bands of at most ``_BLOCK`` entries share runs; a bigger band is
+    walked alone by ``_octant_band``, in its place in the order.
+    """
+    members, run, length, top = [], [], 0, 0.0
+    for b, (inv, lo_eff, hi_eff) in enumerate(bands):
+        q1, q2, q3 = inv
+        pieces = [(b, *piece) for piece in _octant_pieces(inv, hi_eff, cap)]
+        entries = sum(rows * (hi - lo) for _, _, rows, lo, hi in pieces)
+        # Column (1, 1) has the band's largest count; a run's largest count
+        # times its entries stays within 2^53, as in _block_columns.
+        guess = math.sqrt(max((hi_eff / PI_SQUARED - (q1 + q2)) / q3, 0.0))
+        if members and (length + entries > _BLOCK
+                        or max(top, guess) * (length + entries) > _NMAX_LIMIT):
+            yield from _run_bands(bands, members, run, cap)
+            members, run, length, top = [], [], 0, 0.0
+        if entries > _BLOCK:
+            yield _octant_band(inv, lo_eff, hi_eff, cap)
+            continue
+        members.append(b)
+        run += pieces
+        length += entries
+        top = max(top, guess)
+    if members:
+        yield from _run_bands(bands, members, run, cap)
+
+
+def _run_bands(bands, members, run, cap):
+    """Yield (below, values, triples) for the whole bands ``members``, whose
+    block pieces ``run`` one kernel call counts; the bands are assembled in
+    groups of at most ``_BAND_POINTS`` points (a bigger band alone)."""
+    if len(run) == 1:
+        b, *piece = run[0]
+        f, s, part = _count_piece(*bands[b], *piece)
+        stats = [(f, s, len(part[0]))]
+    else:
+        stats, part = _count_ragged(bands, run) if run else ([], _NO_COLUMNS)
+    below, size, ncols = (dict.fromkeys(members, 0) for _ in range(3))
+    for (x, *_), (f, s, m) in zip(run, stats):
+        below[x] += f
+        size[x] += s
+        ncols[x] += m
+    for x in members:
+        if size[x] > cap:
+            raise _band_cap(*bands[x][1:], cap)
+    c12, count, col = part
+    start = end = 0
+    while members:
+        group, points = [members[0]], size[members[0]]
+        for x in members[1:]:
+            if points + size[x] > _BAND_POINTS:
+                break
+            group.append(x)
+            points += size[x]
+        members = members[len(group):]
+        start, end = end, end + sum(ncols[x] for x in group)
+        if not points:
+            values, triples = np.empty(0), np.empty((3, 0), dtype=np.int64)
+        else:
+            q3 = np.repeat([bands[x][0][2] for x in group], [size[x] for x in group])
+            values, triples = _band_points(c12[start:end], count[start:end], col[:, start:end], q3)
+        at = 0
+        for x in group:
+            yield below[x], values[at : at + size[x]], triples[:, at : at + size[x]]
+            at += size[x]
+
+
+def _octant_bands(
+    bands: Sequence[tuple[tuple[float, float, float], float, float]], cap: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """One blocked walk over the octant for each band (lo_eff, hi_eff] of
+    ``bands``, given with its box's inverse squared sides.
+
+    Yields, band by band, the number of points with eigenvalue <= lo_eff,
+    and the eigenvalues (unsorted) of the points in the band with a (3, n)
+    array of their (i1, i2, i3), in the order of their blocks, columns and
+    i3.  Whole bands share runs of at most ``_BLOCK`` entries of their
+    ``_octant_pieces`` at hi_eff, counted at both edges in one
+    ``_nmax_vec`` call a run; a run's bands are assembled in groups of at
+    most ``_BAND_POINTS`` points (a bigger band alone) and yielded before
+    the next run, so a pass holds one run and one group.  A band of more
+    than ``_BLOCK`` entries, or a lone band, takes ``_octant_band``, one
+    piece a run.  Each value is computed with the float64 operations of the
+    membership predicate, so it is the number the counters compare.  A
+    slice wider than ``cap`` columns, or more than ``cap`` points in a band,
+    raises :class:`ResourceLimitError` before any of that band's point
+    arrays exists; a refusal in a batch is redone band by band from the
+    first band not yet yielded, so it is the refusal that the first refusing
+    band raises alone.
+    """
+    if len(bands) == 1:
+        return iter([_octant_band(*bands[0], cap)])
+    return _retried(bands, cap)
+
+
+def _retried(bands, cap):
+    """``_band_runs``; after a refusal, the bands not yet yielded one by one."""
+    done = 0
+    try:
+        for band in _band_runs(bands, cap):
+            yield band
+            done += 1
+    except ResourceLimitError:
+        for band in bands[done:]:
+            yield _octant_band(*band, cap)
 
 
 def _cube_octant_hist(m: int) -> np.ndarray:
@@ -375,7 +562,7 @@ def counts_upto(cuboid: Cuboid, lams: Sequence[float]) -> list[int]:
     rows = np.array([[lams[i]] for i in order]) * (1.0 + COUNT_EPS)
     q3 = cuboid.inv_sq[2]
     totals = [0] * len(lams)
-    for _, _, c in _octant_blocks(cuboid.inv_sq, rows.item(0), DEFAULT_CANDIDATE_CAP):
+    for c in _octant_blocks(cuboid.inv_sq, rows.item(0), DEFAULT_CANDIDATE_CAP):
         sums = _nmax_vec(c, q3, rows).sum(axis=1).tolist()
         totals = [t + s for t, s in zip(totals, sums)]
     counts = [0] * len(lams)
@@ -395,7 +582,7 @@ def count_upto(cuboid: Cuboid, lam: float) -> int:
     lam_eff = lam * (1.0 + COUNT_EPS)
     q3 = cuboid.inv_sq[2]
     total = 0
-    for _, _, c in _octant_blocks(cuboid.inv_sq, lam_eff, DEFAULT_CANDIDATE_CAP):
+    for c in _octant_blocks(cuboid.inv_sq, lam_eff, DEFAULT_CANDIDATE_CAP):
         total += int(_nmax_vec(c, q3, lam_eff).sum())
     return total
 
@@ -419,47 +606,122 @@ def _weyl_guess(cuboid: Cuboid, k: int) -> float:
             return x * x
 
 
-def _band(
-    cuboid: Cuboid, k: int, cap: int, from_zero: bool
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """A band around the Weyl guess for the k-th eigenvalue.
+class _BandSearch:
+    """The band of one box around the Weyl guess for its k-th eigenvalue.
 
     Each side of the band widens until the band holds the k-th eigenvalue and
     its whole DEGENERACY_RTOL window; with ``from_zero`` the band starts at 0.
-    Returns the band's values (unsorted), its index triples and the k-th
-    value.
     """
-    guess = _weyl_guess(cuboid, k)
-    # The guess's relative error shrinks like k^(-1/3).  Over the search
-    # domain the k-th eigenvalue lies at most about 69 % above the guess
-    # (k = 1, on the box with a1 = a1_lower_bound() and a2 = a3), so capped
-    # at 0.75 above it the first band holds the k-th eigenvalue on every
-    # domain box and at most 8k points on the thinnest one (9k capped at 1).
-    # Off the domain it can miss (lambda_1 / guess tends to 16/9 as a1 -> 0
-    # with a2 = a3); a miss widens it to the margin capped at 1, and only
-    # then doubles, so no band is wider than that margin's would be.  Below
-    # the guess the cap stays 1, which puts lo at 0 for k <= 8: a band from
-    # 0 needs no floor counts.
-    margin = min(2.0 * k ** (-1.0 / 3.0), 1.0)
-    down = margin
-    up = min(margin, 0.75)
-    while True:
-        lo = 0.0 if from_zero else max(guess * (1.0 - down), 0.0)
-        hi = guess * (1.0 + up)
-        below, values, triples = _octant_band(cuboid.inv_sq, lo, hi, cap)
-        j = k - 1 - below
+
+    __slots__ = ("inv", "k", "from_zero", "guess", "margin", "down", "up", "lo", "hi")
+
+    def __init__(self, cuboid: Cuboid, k: int, from_zero: bool):
+        self.inv, self.k, self.from_zero = cuboid.inv_sq, k, from_zero
+        self.guess = _weyl_guess(cuboid, k)
+        # The guess's relative error shrinks like k^(-1/3).  Over the search
+        # domain the k-th eigenvalue lies at most about 69 % above the guess
+        # (k = 1, on the box with a1 = a1_lower_bound() and a2 = a3), so
+        # capped at 0.75 above it the first band holds the k-th eigenvalue on
+        # every domain box and at most 8k points on the thinnest one (9k
+        # capped at 1).  Off the domain it can miss (lambda_1 / guess tends to
+        # 16/9 as a1 -> 0 with a2 = a3); a miss widens it to the margin capped
+        # at 1, and only then doubles, so no band is wider than that margin's
+        # would be.  Below the guess the cap stays 1, which puts lo at 0 for
+        # k <= 8: a band from 0 needs no floor counts.
+        self.margin = min(2.0 * k ** (-1.0 / 3.0), 1.0)
+        self.down = self.margin
+        self.up = min(self.margin, 0.75)
+
+    def band(self) -> tuple[tuple[float, float, float], float, float]:
+        """The box's current band (inv, lo, hi), for ``_octant_bands``."""
+        self.lo = 0.0 if self.from_zero else max(self.guess * (1.0 - self.down), 0.0)
+        self.hi = self.guess * (1.0 + self.up)
+        return self.inv, self.lo, self.hi
+
+    def select(self, below: int, values: np.ndarray) -> float | None:
+        """The k-th value if the band holds it and its window; else widen the
+        band and return None."""
+        j = self.k - 1 - below
         value = float(np.partition(values, j)[j]) if 0 <= j < len(values) else math.nan
-        if j < 0 or value * (1.0 - DEGENERACY_RTOL) <= lo:
-            down *= 2.0
-        elif j >= len(values) or value * (1.0 + DEGENERACY_RTOL) > hi:
-            up = margin if up < margin else 2.0 * up
+        if j < 0 or value * (1.0 - DEGENERACY_RTOL) <= self.lo:
+            self.down *= 2.0
+        elif j >= len(values) or value * (1.0 + DEGENERACY_RTOL) > self.hi:
+            self.up = self.margin if self.up < self.margin else 2.0 * self.up
         else:
+            return value
+        return None
+
+
+def _found(
+    searches: list[_BandSearch], cap: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, float]]:
+    """(i, values, triples, k-th value) of each search i as its band holds
+    its k-th eigenvalue; each round bands the searches not yet found in one
+    ``_octant_bands`` pass."""
+    todo = range(len(searches))
+    while todo:
+        missed = []
+        bands = _octant_bands([searches[i].band() for i in todo], cap)
+        for i, (below, values, triples) in zip(todo, bands):
+            value = searches[i].select(below, values)
+            if value is None:
+                missed.append(i)
+            else:
+                yield i, values, triples, value
+        todo = missed
+
+
+def _band(
+    cuboid: Cuboid, k: int, cap: int, from_zero: bool
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The band of ``_BandSearch`` that holds the k-th eigenvalue: its values
+    (unsorted), its index triples and the k-th value."""
+    search = _BandSearch(cuboid, k, from_zero)
+    while True:
+        below, values, triples = _octant_band(*search.band(), cap)
+        value = search.select(below, values)
+        if value is not None:
             return values, triples, value
 
 
 def _indices(triples: np.ndarray) -> list[tuple[int, int, int]]:
     """The columns of a (3, n) index array as (i1, i2, i3) tuples, in order."""
     return list(zip(*triples.tolist()))
+
+
+def _point(values: np.ndarray, triples: np.ndarray, value: float) -> SpectralPoint:
+    """``value`` with every triple of the band within DEGENERACY_RTOL of it."""
+    near = values >= value * (1.0 - DEGENERACY_RTOL)
+    near &= values <= value * (1.0 + DEGENERACY_RTOL)
+    return SpectralPoint(value=value, indices=tuple(sorted(_indices(triples.compress(near, axis=1)))))
+
+
+def kth_eigenvalues(
+    cuboids: Sequence[Cuboid], ks: Sequence[int], candidate_cap: int = DEFAULT_CANDIDATE_CAP
+) -> list[SpectralPoint]:
+    """``kth_eigenvalue`` of each box of ``cuboids`` at its k in ``ks``.
+
+    Every box's band is walked in one ``_octant_bands`` pass; a box whose
+    band misses widens it by ``kth_eigenvalue``'s rule, and only those boxes
+    go round again.  The points equal those of ``kth_eigenvalue`` box by
+    box.  Every k is checked first; a refusal is the one that the first
+    refusing box raises alone, since a refused batch is redone box by box.
+    """
+    boxes = list(zip(cuboids, ks, strict=True))
+    for _, k in boxes:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+    searches = [_BandSearch(cuboid, k, from_zero=False) for cuboid, k in boxes]
+    points = [None] * len(boxes)
+    try:
+        for i, values, triples, value in _found(searches, candidate_cap):
+            points[i] = _point(values, triples, value)
+    except ResourceLimitError:
+        if len(boxes) > 1:
+            for cuboid, k in boxes:
+                kth_eigenvalue(cuboid, k, candidate_cap)
+        raise
+    return points
 
 
 def kth_eigenvalue(
@@ -471,15 +733,12 @@ def kth_eigenvalue(
     widened until it holds the k-th, and selects it with every lattice triple
     within DEGENERACY_RTOL.  Raises :class:`ResourceLimitError` when the band
     would hold more than ``candidate_cap`` candidates, which guards against
-    pathologically thin boxes.
+    pathologically thin boxes.  ``kth_eigenvalues`` gives the same point for
+    each of many boxes, in batched band passes.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    values, triples, value = _band(cuboid, k, candidate_cap, from_zero=False)
-    near = values >= value * (1.0 - DEGENERACY_RTOL)
-    near &= values <= value * (1.0 + DEGENERACY_RTOL)
-    indices = tuple(sorted(_indices(triples.compress(near, axis=1))))
-    return SpectralPoint(value=value, indices=indices)
+    return _point(*_band(cuboid, k, candidate_cap, from_zero=False))
 
 
 def spectrum_points(

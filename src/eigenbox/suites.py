@@ -27,7 +27,7 @@ from .spectrum import (
     Cuboid,
     counts_upto,
     cube_spectrum_table,
-    kth_eigenvalue,
+    kth_eigenvalues,
 )
 
 OMEGA_3 = 4.0 * math.pi / 3.0
@@ -98,8 +98,9 @@ def identity_suite(
     """Exact symmetry decomposition T = 8N + 4*sum T+ + 2*sum floor + 1.
 
     lhs is T from the full-lattice counter, rhs the reassembled right side;
-    any nonzero residual is a bug, so expected slack is exactly 0.  The
-    boxes are drawn first and counted in one ``count_bundles`` call.
+    any nonzero residual is a bug, so a report passes only with slack
+    exactly 0 (T is an integer below 2^53, exact in float).  The boxes are
+    drawn first and counted in one ``count_bundles`` call.
     """
     rng = random.Random(seed)
     draws = [(sample_cuboid(rng), rng.uniform(0.0, lam_max)) for _ in range(samples)]
@@ -110,6 +111,7 @@ def identity_suite(
             {"a1": c.a1, "a2": c.a2, "a3": c.a3, "lam": lam},
             float(b.t),
             float(b.t - b.octant_identity_residual()),
+            exact=True,
         )
         for (c, lam), b in zip(draws, bundles)
     ]
@@ -148,21 +150,20 @@ def cube_chain_suite(k_max: int) -> list[BoundReport]:
 
 
 def polya_suite(samples: int, seed: int = 0, k_max: int = 1000) -> list[BoundReport]:
+    """Polya's lower bound on lambda_k at seeded (box, k) pairs; the pairs are
+    drawn first and their lambda_k found in one ``kth_eigenvalues`` call."""
     rng = random.Random(seed)
-    reports = []
-    for _ in range(samples):
-        c = sample_cuboid(rng)
-        k = rng.randint(1, k_max)
-        lam_k = kth_eigenvalue(c, k).value
-        reports.append(
-            BoundReport(
-                "polya",
-                {"a1": c.a1, "a2": c.a2, "a3": c.a3, "k": k},
-                polya_lower_bound(k),
-                lam_k,
-            )
+    draws = [(sample_cuboid(rng), rng.randint(1, k_max)) for _ in range(samples)]
+    points = kth_eigenvalues([c for c, _ in draws], [k for _, k in draws])
+    return [
+        BoundReport(
+            "polya",
+            {"a1": c.a1, "a2": c.a2, "a3": c.a3, "k": k},
+            polya_lower_bound(k),
+            point.value,
         )
-    return reports
+        for (c, k), point in zip(draws, points)
+    ]
 
 
 def remainder_constant_estimates(
