@@ -46,6 +46,7 @@ from .spectrum import (
     _nmax_scalar,
     _nmax_vec,
     _octant_bands,
+    _redone_alone,
 )
 
 
@@ -291,13 +292,7 @@ def count_bundles(cuboids: Sequence[Cuboid], lams: Sequence[float]) -> list[Coun
     A refused batch is redone box by box, so a refusal is the one that the
     first refusing box raises alone."""
     pairs = list(zip(cuboids, lams, strict=True))
-    try:
-        return _bundles(pairs)
-    except (ResourceLimitError, ValueError):
-        if len(pairs) > 1:
-            for pair in pairs:
-                _bundles([pair])
-        raise
+    return list(_redone_alone(pairs, _bundles, lambda pair: _bundles([pair])[0]))
 
 
 def _bundles(pairs: list[tuple[Cuboid, float]]) -> list[CountBundle]:

@@ -53,7 +53,9 @@ from .spectrum import (
     PI_SQUARED,
     Cuboid,
     ResourceLimitError,
+    _octant_band,
     _octant_bands,
+    _redone_alone,
     cube_spectrum_table,
     kth_eigenvalue,
 )
@@ -172,20 +174,26 @@ class _Search:
         """Runs of whole root cells with their rows, at most ``_BLOCK`` rows
         (or one cell) a chunk, like the chunks of ``split``.  A cell's rows
         are the branches whose value on the corner box (1/u1, 1/v1, u0 v0),
-        their least over the cell, is at most best; one ``_octant_bands``
-        pass finds them for all the cells."""
+        their least over the cell, is at most best when the cell is reached.
+        One ``_octant_bands`` pass bands the cells left; once a chunk lowers
+        best, a new pass bands the cells after the current one."""
         cells = root_cells().T.tolist()
-        hi = self.best * (1.0 + MARGIN)
-        bands = _octant_bands(
-            [((1.0 / u1, 1.0 / v1, u0 * v0), 0.0, hi) for u0, u1, v0, v1 in cells], self.cap)
-        boxes, rows, size = [], [], 0
-        for box, (_, _, t) in zip(cells, bands):
-            if rows and size + t.shape[1] > _BLOCK:
-                yield self._root_chunk(boxes, rows)
-                boxes, rows, size = [], [], 0
-            boxes.append(box)
-            rows.append(t)
-            size += t.shape[1]
+        boxes, rows, size, at = [], [], 0, 0
+        while at < len(cells):
+            best = self.best
+            bands = [((1.0 / u1, 1.0 / v1, u0 * v0), 0.0, best * (1.0 + MARGIN))
+                     for u0, u1, v0, v1 in cells[at:]]
+            for _, _, t in _redone_alone(bands, lambda b: _octant_bands(b, self.cap),
+                                         lambda band: _octant_band(*band, self.cap)):
+                if rows and size + t.shape[1] > _BLOCK:
+                    yield self._root_chunk(boxes, rows)
+                    boxes, rows, size = [], [], 0
+                boxes.append(cells[at])
+                rows.append(t)
+                size += t.shape[1]
+                at += 1
+                if self.best != best:
+                    break
         yield self._root_chunk(boxes, rows)
 
     @staticmethod

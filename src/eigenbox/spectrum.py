@@ -15,8 +15,8 @@ counts many lambda in one walk, below the largest: its kernel call counts
 each block at every lambda.  The unit cube takes the same path, here and in
 :mod:`eigenbox.lattice`: its sums are exact integers below 2^53, so the
 predicate gives the integer count.  Only ``cube_spectrum_table`` stays
-integer.  ``kth_eigenvalue`` and ``spectrum_points`` walk the same blocks
-through one band pass, ``_octant_bands``, which counts each column's i3
+integer.  ``kth_eigenvalues`` (``kth_eigenvalue`` is its one-box call) and
+``spectrum_points`` walk the same blocks through one band pass, ``_octant_bands``, which counts each column's i3
 points at both edges of a band (lo, hi] and returns the band's eigenvalues
 with their index triples.  It walks the bands of many boxes at once: their
 block pieces share runs of at most ``_BLOCK`` entries, one vector kernel
@@ -25,11 +25,11 @@ per box; one box keeps one piece a run.  The band sits around the two-term
 Weyl guess for lambda_k (from 0 for a spectrum) and widens until it holds
 the k-th eigenvalue and its ``DEGENERACY_RTOL`` window; ``candidate_cap``
 bounds how many points the band may hold.  An empty band (lambda, lambda]
-is a count: the identity suite takes N of all its boxes from one such pass.  ``spectrum_points`` sorts the
-band and groups it into spectral points ``_GROUP`` values at a time: two
-``searchsorted`` calls give the chunk's window ends and starts, and its
-index triples become Python tuples in one call, so beside the band the
-grouping holds some 100 kB whatever k_max is.
+is a count: the identity suite takes N of all its boxes from one such pass.
+``spectrum_points`` sorts the band and groups it into spectral points
+``_GROUP`` values at a time: two ``searchsorted`` calls give the chunk's
+window ends and starts, and its index triples become Python tuples in one
+call, so beside the band the grouping holds some 100 kB whatever k_max is.
 """
 
 from __future__ import annotations
@@ -421,45 +421,35 @@ def _octant_band(
 
 def _band_runs(
     bands: Sequence[tuple[tuple[float, float, float], float, float]], cap: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """``_octant_bands`` for many bands, without its retry of a refusal.
-
-    Whole bands of at most ``_BLOCK`` entries share runs; a bigger band is
-    walked alone by ``_octant_band``, in its place in the order.
-    """
+) -> Iterator[tuple[list[int], list[tuple]]]:
+    """The runs of ``_octant_bands``: (members, pieces) of consecutive whole
+    bands whose ``_octant_pieces`` at hi_eff hold at most ``_BLOCK`` entries,
+    with the run's largest count times its entries within 2^53, as in
+    ``_block_columns``.  A band over either budget is alone in its run."""
     members, run, length, top = [], [], 0, 0.0
-    for b, (inv, lo_eff, hi_eff) in enumerate(bands):
+    for b, (inv, _, hi_eff) in enumerate(bands):
         q1, q2, q3 = inv
         pieces = [(b, *piece) for piece in _octant_pieces(inv, hi_eff, cap)]
         entries = sum(rows * (hi - lo) for _, _, rows, lo, hi in pieces)
-        # Column (1, 1) has the band's largest count; a run's largest count
-        # times its entries stays within 2^53, as in _block_columns.
+        # Column (1, 1) has the band's largest count.
         guess = math.sqrt(max((hi_eff / PI_SQUARED - (q1 + q2)) / q3, 0.0))
         if members and (length + entries > _BLOCK
                         or max(top, guess) * (length + entries) > _NMAX_LIMIT):
-            yield from _run_bands(bands, members, run, cap)
+            yield members, run
             members, run, length, top = [], [], 0, 0.0
-        if entries > _BLOCK:
-            yield _octant_band(inv, lo_eff, hi_eff, cap)
-            continue
         members.append(b)
         run += pieces
         length += entries
         top = max(top, guess)
     if members:
-        yield from _run_bands(bands, members, run, cap)
+        yield members, run
 
 
 def _run_bands(bands, members, run, cap):
     """Yield (below, values, triples) for the whole bands ``members``, whose
     block pieces ``run`` one kernel call counts; the bands are assembled in
     groups of at most ``_BAND_POINTS`` points (a bigger band alone)."""
-    if len(run) == 1:
-        b, *piece = run[0]
-        f, s, part = _count_piece(*bands[b], *piece)
-        stats = [(f, s, len(part[0]))]
-    else:
-        stats, part = _count_ragged(bands, run) if run else ([], _NO_COLUMNS)
+    stats, part = _count_ragged(bands, run) if run else ([], _NO_COLUMNS)
     below, size, ncols = (dict.fromkeys(members, 0) for _ in range(3))
     for (x, *_), (f, s, m) in zip(run, stats):
         below[x] += f
@@ -499,35 +489,44 @@ def _octant_bands(
     Yields, band by band, the number of points with eigenvalue <= lo_eff,
     and the eigenvalues (unsorted) of the points in the band with a (3, n)
     array of their (i1, i2, i3), in the order of their blocks, columns and
-    i3.  Whole bands share runs of at most ``_BLOCK`` entries of their
-    ``_octant_pieces`` at hi_eff, counted at both edges in one
-    ``_nmax_vec`` call a run; a run's bands are assembled in groups of at
-    most ``_BAND_POINTS`` points (a bigger band alone) and yielded before
-    the next run, so a pass holds one run and one group.  A band of more
-    than ``_BLOCK`` entries, or a lone band, takes ``_octant_band``, one
-    piece a run.  Each value is computed with the float64 operations of the
-    membership predicate, so it is the number the counters compare.  A
-    slice wider than ``cap`` columns, or more than ``cap`` points in a band,
-    raises :class:`ResourceLimitError` before any of that band's point
-    arrays exists; a refusal in a batch is redone band by band from the
-    first band not yet yielded, so it is the refusal that the first refusing
-    band raises alone.
+    i3.  Whole bands share the runs of ``_band_runs``, counted at both edges
+    in one ``_nmax_vec`` call a run; a run's bands are assembled in groups
+    of at most ``_BAND_POINTS`` points (a bigger band alone) and yielded
+    before the next run, so a pass holds one run and one group.  A lone
+    band, or a band alone in its run, takes ``_octant_band``: one piece a
+    kernel call, at the scalar q3 and edges of its box.  Each value is
+    computed with the float64 operations of the membership predicate, so it
+    is the number the counters compare.  A slice wider than ``cap`` columns,
+    or more than ``cap`` points in a band, raises
+    :class:`ResourceLimitError` before any of that band's point arrays
+    exists; which band of a batch refuses first can differ from band by
+    band, so callers redo a refused batch with ``_redone_alone``.
     """
     if len(bands) == 1:
-        return iter([_octant_band(*bands[0], cap)])
-    return _retried(bands, cap)
+        yield _octant_band(*bands[0], cap)
+        return
+    for members, run in _band_runs(bands, cap):
+        if len(members) == 1:
+            yield _octant_band(*bands[members[0]], cap)
+        else:
+            yield from _run_bands(bands, members, run, cap)
 
 
-def _retried(bands, cap):
-    """``_band_runs``; after a refusal, the bands not yet yielded one by one."""
+def _redone_alone(items: Sequence, batch, alone) -> Iterator:
+    """What ``batch(items)`` yields, item by item.  After a refusal (or a
+    bad argument) in a batch of several items, ``alone(item)`` for each item
+    not yet yielded, in order: so a batch raises the refusal that its first
+    refusing item raises alone."""
     done = 0
     try:
-        for band in _band_runs(bands, cap):
-            yield band
+        for out in batch(items):
+            yield out
             done += 1
-    except ResourceLimitError:
-        for band in bands[done:]:
-            yield _octant_band(*band, cap)
+    except (ResourceLimitError, ValueError):
+        if len(items) == 1:
+            raise
+        for item in items[done:]:
+            yield alone(item)
 
 
 def _cube_octant_hist(m: int) -> np.ndarray:
@@ -676,12 +675,8 @@ def _band(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """The band of ``_BandSearch`` that holds the k-th eigenvalue: its values
     (unsorted), its index triples and the k-th value."""
-    search = _BandSearch(cuboid, k, from_zero)
-    while True:
-        below, values, triples = _octant_band(*search.band(), cap)
-        value = search.select(below, values)
-        if value is not None:
-            return values, triples, value
+    ((_, values, triples, value),) = _found([_BandSearch(cuboid, k, from_zero)], cap)
+    return values, triples, value
 
 
 def _indices(triples: np.ndarray) -> list[tuple[int, int, int]]:
@@ -702,25 +697,25 @@ def kth_eigenvalues(
     """``kth_eigenvalue`` of each box of ``cuboids`` at its k in ``ks``.
 
     Every box's band is walked in one ``_octant_bands`` pass; a box whose
-    band misses widens it by ``kth_eigenvalue``'s rule, and only those boxes
-    go round again.  The points equal those of ``kth_eigenvalue`` box by
-    box.  Every k is checked first; a refusal is the one that the first
-    refusing box raises alone, since a refused batch is redone box by box.
+    band misses widens it, and only those boxes go round again.  Every k is
+    checked first; a refused batch is redone box by box, so a refusal is the
+    one that the first refusing box raises alone.
     """
     boxes = list(zip(cuboids, ks, strict=True))
     for _, k in boxes:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-    searches = [_BandSearch(cuboid, k, from_zero=False) for cuboid, k in boxes]
+    return list(_redone_alone(
+        boxes, lambda b: _kth_points(b, candidate_cap),
+        lambda box: _kth_points([box], candidate_cap)[0]))
+
+
+def _kth_points(boxes: list[tuple[Cuboid, int]], cap: int) -> list[SpectralPoint]:
+    """The k-th spectral point of each (box, k), from one ``_found`` search."""
     points = [None] * len(boxes)
-    try:
-        for i, values, triples, value in _found(searches, candidate_cap):
-            points[i] = _point(values, triples, value)
-    except ResourceLimitError:
-        if len(boxes) > 1:
-            for cuboid, k in boxes:
-                kth_eigenvalue(cuboid, k, candidate_cap)
-        raise
+    for i, values, triples, value in _found(
+            [_BandSearch(cuboid, k, from_zero=False) for cuboid, k in boxes], cap):
+        points[i] = _point(values, triples, value)
     return points
 
 
@@ -733,12 +728,9 @@ def kth_eigenvalue(
     widened until it holds the k-th, and selects it with every lattice triple
     within DEGENERACY_RTOL.  Raises :class:`ResourceLimitError` when the band
     would hold more than ``candidate_cap`` candidates, which guards against
-    pathologically thin boxes.  ``kth_eigenvalues`` gives the same point for
-    each of many boxes, in batched band passes.
+    pathologically thin boxes.  It is the one-box call of ``kth_eigenvalues``.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return _point(*_band(cuboid, k, candidate_cap, from_zero=False))
+    return kth_eigenvalues([cuboid], [k], candidate_cap)[0]
 
 
 def spectrum_points(

@@ -16,10 +16,11 @@ import random
 import numpy as np
 import pytest
 
-from eigenbox import lattice, spectrum, suites
+from eigenbox import lattice, optimize, spectrum, suites
 from eigenbox.bounds import a1_lower_bound
 from eigenbox.cli import main
 from eigenbox.lattice import count_bundles
+from eigenbox.optimize import MARGIN, _Search, optimize_k, root_cells
 from eigenbox.reporting import _CELL_RULES, VERIFY, _inputs_cells
 from eigenbox.bounds import BoundReport
 from eigenbox.spectrum import (
@@ -35,6 +36,7 @@ from eigenbox.spectrum import (
     _nmax_vec,
     _octant_band,
     _octant_bands,
+    _redone_alone,
     _slice_width,
     _weyl_guess,
     count_upto,
@@ -308,7 +310,7 @@ def test_the_first_refusing_box_wins_across_rounds():
     assert _outcome(batched, [early, late], 1000) == _outcome(ref_kth, *early, 1000)
 
 
-def test_a_refusal_in_a_band_pass_is_the_first_band_alone():
+def test_a_refused_band_pass_is_redone_band_by_band():
     # The cube's band holds more than 40 points; the thin box's first slice
     # spans more than 40 columns, which shows before the cube's run is
     # counted.
@@ -316,8 +318,58 @@ def test_a_refusal_in_a_band_pass_is_the_first_band_alone():
              (Cuboid.from_sides(0.05, 1.0).inv_sq, 0.0, 1.0e5)]
     alone = _outcome(lambda: [_octant_band(*band, 40) for band in bands])
     assert alone[1].startswith("band (0, 3000]")
-    assert _outcome(lambda: list(_octant_bands(bands, 40))) == alone
-    assert _outcome(lambda: list(_octant_bands(bands[::2], 40)))[1].startswith("a slice below")
+    assert _outcome(lambda: list(_octant_bands(bands, 40)))[1].startswith("a slice below")
+    yielded = []
+
+    def redone():
+        for out in _redone_alone(bands, lambda b: _octant_bands(b, 40),
+                                 lambda band: _octant_band(*band, 40)):
+            yielded.append(out)
+
+    assert _outcome(redone) == alone
+    # The first band, yielded once, before the refusal.
+    assert len(yielded) == 1
+    assert yielded[0][1].tobytes() == _octant_band(*bands[0], 40)[1].tobytes()
+
+
+def test_a_refused_one_item_batch_is_not_redone():
+    calls = []
+
+    def alone(item):
+        calls.append(item)
+        return item
+
+    def refuse(items):
+        raise ResourceLimitError("refused")
+
+    with pytest.raises(ResourceLimitError, match="refused"):
+        list(_redone_alone([1], refuse, alone))
+    assert calls == []
+    assert list(_redone_alone([1, 2], refuse, alone)) == [1, 2] == calls
+
+
+def test_a_band_over_the_count_budget_is_walked_alone():
+    # The long side's q3 is tiny: the column (1, 1) counts some 4e14 points,
+    # so one kernel call over the band's 125 entries would pass 2^53, while
+    # each of its 8 blocks (one slice each) stays within it.
+    s = 3e-5
+    box = Cuboid(s, s, 1.0 / (s * s))
+    q1, q2, q3 = box.inv_sq
+    hi = PI_SQUARED * 130.0 * q1
+    guess = math.sqrt((hi / PI_SQUARED - q1 - q2) / q3)
+    ((_, run),) = spectrum._band_runs([(box.inv_sq, hi, hi)], DEFAULT_CANDIDATE_CAP)
+    assert guess < spectrum._NMAX_LIMIT < guess * sum(r * (h - l) for _, _, r, l, h in run)
+    band, small = (box.inv_sq, hi, hi), (UNIT_CUBE.inv_sq, 0.0, 300.0)
+    runs = spectrum._band_runs([small, band, small, small], DEFAULT_CANDIDATE_CAP)
+    assert [members for members, _ in runs] == [[0], [1], [2, 3]]
+    for bands in ([band, small], [small, band, small], [band, band]):
+        got = list(_octant_bands(bands, DEFAULT_CANDIDATE_CAP))
+        for (below, values, triples), ref in zip(got, bands):
+            ref_below, ref_values, ref_triples = _octant_band(*ref, DEFAULT_CANDIDATE_CAP)
+            assert below == ref_below
+            assert values.tobytes() == ref_values.tobytes()
+            assert np.array_equal(triples, ref_triples)
+    assert got[0][0] > 2**53
 
 
 def test_groups_hold_at_most_band_points(monkeypatch):
@@ -340,6 +392,70 @@ def test_bad_k_and_mismatched_lengths():
         kth_eigenvalues([UNIT_CUBE, UNIT_CUBE], [1, 0])
     with pytest.raises(ValueError):
         kth_eigenvalues([UNIT_CUBE, UNIT_CUBE], [1])
+
+
+# ---------------------------------------------------------------------------
+# The root level of the certified search
+# ---------------------------------------------------------------------------
+
+
+def ref_roots(self):
+    # The per-cell roots before the batched pass: each cell is banded at the
+    # incumbent that the chunks before it left.
+    boxes, rows, size = [], [], 0
+    for box in root_cells().T:
+        u0, u1, v0, v1 = box
+        _, _, t = _octant_band(
+            (1.0 / u1, 1.0 / v1, u0 * v0), 0.0, self.best * (1.0 + MARGIN), self.cap)
+        if rows and size + t.shape[1] > optimize._BLOCK:
+            yield self._root_chunk(boxes, rows)
+            boxes, rows, size = [], [], 0
+        boxes.append(box)
+        rows.append(t)
+        size += t.shape[1]
+    yield self._root_chunk(boxes, rows)
+
+
+# With small chunks a chunk can lower best within the root level; at the
+# default _BLOCK none of k = 1..129, 256, 512, 1024, 2048 or 4096 does.
+@pytest.mark.parametrize("k, block, n_passes", [
+    (5, 16, 3), (40, 16, 2), (90, 256, 2), (80, 1024, 2), (4096, _BLOCK, 1),
+])
+def test_root_cells_are_banded_at_the_incumbent_when_reached(monkeypatch, k, block, n_passes):
+    monkeypatch.setattr(optimize, "_BLOCK", block)
+    passes = []
+    real = optimize._octant_bands
+
+    def counted(bands, cap):
+        passes.append(len(bands))
+        return real(bands, cap)
+
+    monkeypatch.setattr(optimize, "_octant_bands", counted)
+    new, old = _Search(k, DEFAULT_CANDIDATE_CAP), _Search(k, DEFAULT_CANDIDATE_CAP)
+    chunks, ref_chunks = [], []
+
+    def recorded(roots, into):
+        for chunk in roots:
+            into.append([x.copy() for x in chunk])
+            yield chunk
+
+    got = new.level(recorded(new.roots(), chunks))
+    ref = old.level(recorded(ref_roots(old), ref_chunks))
+    # The same chunks, row for row, bounded against the same incumbents.
+    assert len(chunks) == len(ref_chunks) > 1
+    for chunk, ref_chunk in zip(chunks, ref_chunks):
+        for x, ref_x in zip(chunk, ref_chunk):
+            assert x.dtype == ref_x.dtype and x.tobytes() == ref_x.tobytes()
+    for field, ref_field in zip(got, ref):
+        assert field.dtype == ref_field.dtype
+        assert field.tobytes() == ref_field.tobytes()
+    assert (new.best, new.point, new.lower, new.cells) == (old.best, old.point, old.lower, old.cells)
+    # Each time a chunk lowered best, the cells after it were banded again.
+    assert len(passes) == n_passes and passes[0] == len(root_cells().T)
+    with monkeypatch.context() as patch:
+        patch.setattr(_Search, "roots", ref_roots)
+        expected = optimize_k(k)
+    assert optimize_k(k) == expected
 
 
 # ---------------------------------------------------------------------------
