@@ -20,7 +20,7 @@ from eigenbox import lattice, optimize, spectrum, suites
 from eigenbox.bounds import a1_lower_bound
 from eigenbox.cli import main
 from eigenbox.lattice import count_bundles
-from eigenbox.optimize import MARGIN, _Search, optimize_k, root_cells
+from eigenbox.optimize import MARGIN, OptimizerConfig, _Search, optimize_k, root_cells
 from eigenbox.reporting import _CELL_RULES, VERIFY, _inputs_cells
 from eigenbox.bounds import BoundReport
 from eigenbox.spectrum import (
@@ -456,6 +456,22 @@ def test_root_cells_are_banded_at_the_incumbent_when_reached(monkeypatch, k, blo
         patch.setattr(_Search, "roots", ref_roots)
         expected = optimize_k(k)
     assert optimize_k(k) == expected
+
+
+def _search_outcome(k, cap):
+    try:
+        return optimize_k(k, OptimizerConfig(candidate_cap=cap))
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("k, cap", [(5, 3), (20, 10), (60, 10), (60, 300), (200, 1000)])
+def test_a_refused_root_level_is_the_first_cell_alone(monkeypatch, k, cap):
+    # A batch meets a later cell's slice cap before an earlier cell's band
+    # cap; one by one, the earlier cell refuses first.
+    outcome = _search_outcome(k, cap)
+    monkeypatch.setattr(_Search, "roots", ref_roots)
+    assert outcome == _search_outcome(k, cap)
 
 
 # ---------------------------------------------------------------------------
