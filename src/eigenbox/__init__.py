@@ -26,14 +26,6 @@ from .lattice import (
     r2_batch,
     r3,
 )
-from .optimize import (
-    InsufficientSpanError,
-    OptimalRecord,
-    OptimizerConfig,
-    optimize_k,
-    rate_fit,
-    sweep,
-)
 from .spectrum import (
     Cuboid,
     ResourceLimitError,
@@ -49,3 +41,26 @@ from .spectrum import (
 )
 
 __version__ = "0.1.0"
+
+# The optimiser's names import eigenbox.optimize, and with it the process
+# pool, on first use, so that a program that never optimises does not load it.
+_OPTIMIZE_NAMES = (
+    "InsufficientSpanError",
+    "OptimalRecord",
+    "OptimizerConfig",
+    "optimize_k",
+    "rate_fit",
+    "sweep",
+)
+
+
+def __getattr__(name: str):
+    if name in _OPTIMIZE_NAMES:
+        from . import optimize
+
+        return getattr(optimize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_OPTIMIZE_NAMES})

@@ -7,19 +7,12 @@ codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap.
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
 from contextlib import nullcontext
 
 import numpy as np
 
 from . import reporting, suites
-from .optimize import (
-    InsufficientSpanError,
-    OptimizerConfig,
-    rate_fit,
-    sweep,
-)
 from .spectrum import (
     DEFAULT_CANDIDATE_CAP,
     Cuboid,
@@ -101,26 +94,35 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _optimize_ks(args) -> list[int] | None:
+def _optimize_ks(args) -> list[int]:
+    """The k set of the optimize flags; a ValueError names what is wrong."""
     if args.k is not None:
+        if args.k_min is not None or args.k_max is not None or args.dyadic:
+            raise ValueError("--k takes no --k-min, --k-max or --dyadic; give one k or a range")
         if args.k < 1:
-            return None
+            raise ValueError(f"--k must be >= 1, got {args.k}")
         return [args.k]
     if args.k_min is None or args.k_max is None:
-        return None
-    if args.k_min < 1 or args.k_max < args.k_min:
-        return None
+        raise ValueError("provide --k >= 1, or --k-min/--k-max")
+    if args.k_min < 1:
+        raise ValueError(f"--k-min must be >= 1, got {args.k_min}")
+    if args.k_max < args.k_min:
+        raise ValueError(f"empty k range: --k-min {args.k_min} > --k-max {args.k_max}")
     if args.dyadic:
         ks = [1 << e for e in range(args.k_max.bit_length()) if 1 << e >= args.k_min]
-        return ks or None
+        if not ks:
+            raise ValueError(f"no power of two in the k range {args.k_min}..{args.k_max}")
+        return ks
     return list(range(args.k_min, args.k_max + 1))
 
 
 def cmd_optimize(args) -> int:
     ks = _optimize_ks(args)
-    if ks is None:
-        print("error: provide --k >= 1, or --k-min/--k-max", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    # Only this command runs the optimiser; the others never load it.
+    import statistics
+
+    from .optimize import InsufficientSpanError, OptimizerConfig, rate_fit, sweep
+
     config = OptimizerConfig(candidate_cap=args.candidate_cap, threads=args.threads)
     records = sweep(ks, config)
     _emit(args, reporting.OPTIMIZE, records)

@@ -28,7 +28,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,6 +48,9 @@ from .spectrum import (
     _octant_bands,
     _redone_alone,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,8 @@ class CountBundle:
 
     def n_from_decomposition(self) -> Fraction:
         """N recovered from the signed counts, in exact rational arithmetic."""
+        from fractions import Fraction
+
         return (
             Fraction(self.t, 8)
             - Fraction(self.t_x1 + self.t_x2 + self.t_x3, 8)

@@ -40,7 +40,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -330,6 +329,8 @@ def sweep(k_set, config: OptimizerConfig = OptimizerConfig()) -> list[OptimalRec
     workers = _pool_size(config.threads, len(ks))
     if workers == 1:
         return [_sweep_one(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
     order = sorted(range(len(ks)), key=lambda i: -ks[i])
     with ProcessPoolExecutor(max_workers=workers) as pool:
         done = dict(zip(order, pool.map(_sweep_one, [jobs[i] for i in order])))

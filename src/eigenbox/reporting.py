@@ -22,19 +22,19 @@ version.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable, get_type_hints
+from typing import TYPE_CHECKING, Any, Callable, Iterable, get_type_hints
 
 import numpy as np
 
-from .optimize import OptimalRecord
 from .spectrum import PI_SQUARED, Cuboid, SpectralPoint
+
+if TYPE_CHECKING:
+    from .optimize import OptimalRecord
 
 # The schema of every table but OPTIMIZE, whose records carry a certified
 # bound since version 2.
@@ -176,6 +176,8 @@ class Table:
         return out.getvalue()
 
     def json(self, records: Iterable) -> str:
+        import json
+
         (_, first_key, first), *rest = self.fields
         entries = []
         for record in records:
@@ -246,6 +248,10 @@ write_optimize_csv = OPTIMIZE.write_csv
 
 def read_optimize_csv(stream) -> list[OptimalRecord]:
     """Records from optimize CSV; each column parses as the type its field holds."""
+    import csv
+
+    from .optimize import OptimalRecord
+
     types = get_type_hints(OptimalRecord)
     parse = {int: int, float: float, bool: parse_bool, str: str}
     records = []

@@ -196,6 +196,34 @@ class TestOptimizeCommand:
         assert out_path.read_text().startswith("schema_version,")
 
 
+class TestOptimizeKSet:
+    """Flags that give no k set, or two, exit 2 and name the fault."""
+
+    @pytest.mark.parametrize("argv, fault", [
+        (("--k-min", "5", "--k-max", "3"), "empty k range: --k-min 5 > --k-max 3"),
+        (("--k-min", "3", "--k-max", "3", "--dyadic"), "no power of two in the k range 3..3"),
+        (("--k-min", "5", "--k-max", "7", "--dyadic"), "no power of two in the k range 5..7"),
+        (("--k", "2", "--k-min", "1", "--k-max", "4"), "--k takes no --k-min, --k-max or --dyadic"),
+        (("--k", "2", "--k-max", "4"), "--k takes no --k-min, --k-max or --dyadic"),
+        (("--k", "4", "--dyadic"), "--k takes no --k-min, --k-max or --dyadic"),
+        (("--k-min", "0", "--k-max", "3"), "--k-min must be >= 1, got 0"),
+        (("--k", "0"), "--k must be >= 1, got 0"),
+        (("--k-min", "1"), "provide --k >= 1, or --k-min/--k-max"),
+        ((), "provide --k >= 1, or --k-min/--k-max"),
+    ])
+    def test_fault_is_named(self, capsys, argv, fault):
+        code, out, err = run(capsys, "optimize", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {fault}")
+        assert err.count("\n") == 1
+
+    def test_a_range_holding_one_power_of_two_is_fine(self, capsys):
+        code, out, _ = run(capsys, "optimize", "--k-min", "3", "--k-max", "4", "--dyadic")
+        assert code == 0
+        assert [int(r.split(",")[1]) for r in out.splitlines()[1:]] == [4]
+
+
 class TestVerifyCommand:
     def test_identity_suite(self, capsys):
         code, out, err = run(
