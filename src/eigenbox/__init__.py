@@ -42,8 +42,8 @@ from .spectrum import (
 
 __version__ = "0.1.0"
 
-# The optimiser's names import eigenbox.optimize, and with it the process
-# pool, on first use, so that a program that never optimises does not load it.
+# The optimiser's names import eigenbox.optimize on first use, so that a
+# program that never optimises neither compiles nor loads it.
 _OPTIMIZE_NAMES = (
     "InsufficientSpanError",
     "OptimalRecord",
