@@ -7,21 +7,23 @@ octant.  Membership is decided by one canonical floating-point predicate
 (inclusive at the boundary, relative tolerance ``COUNT_EPS``) that all
 counters in the package share.
 
-``count_upto`` counts the octant in blocked numpy passes: a block is a run
-of consecutive i1 slices, at most ``_BLOCK`` (i1, i2) columns, whose i3
-points one vector kernel call counts, so numpy's dispatch is paid per block
-rather than per slice and memory stays flat in lambda.  ``counts_upto``
-counts many lambda in one walk, below the largest: its kernel call counts
-each block at every lambda.  The unit cube takes the same path, here and in
+Every count walks the octant in the pieces of ``_octant_pieces``: a block is
+a run of consecutive i1 slices, at most ``_BLOCK`` (i1, i2) columns, whose
+i3 points one vector kernel call counts, so numpy's dispatch is paid per
+block rather than per slice and memory stays flat in lambda.
+``counts_upto`` counts many lambda in one walk, below the largest: its
+kernel call counts each piece at every lambda, and ``count_upto`` is its
+one-lambda call.  The unit cube takes the same path, here and in
 :mod:`eigenbox.lattice`: its sums are exact integers below 2^53, so the
 predicate gives the integer count.  Only ``cube_spectrum_table`` stays
 integer.  ``kth_eigenvalues`` (``kth_eigenvalue`` is its one-box call) and
-``spectrum_points`` walk the same blocks through one band pass, ``_octant_bands``, which counts each column's i3
-points at both edges of a band (lo, hi] and returns the band's eigenvalues
-with their index triples.  It walks the bands of many boxes at once: their
-block pieces share runs of at most ``_BLOCK`` entries, one vector kernel
-call a run, so ``kth_eigenvalues`` pays numpy's dispatch per run rather than
-per box; one box keeps one piece a run.  The band sits around the two-term
+``spectrum_points`` go through one band pass, ``_octant_bands``, which
+counts each column's i3 points at both edges of a band (lo, hi] and returns
+the band's eigenvalues with their index triples.  One piece counter,
+``_count_ragged``, counts every band piece: the pieces of many boxes' bands
+share runs of at most ``_BLOCK`` entries, one call a run, so
+``kth_eigenvalues`` pays numpy's dispatch per run rather than per box, and a
+lone band passes it one piece a call.  The band sits around the two-term
 Weyl guess for lambda_k (from 0 for a spectrum) and widens until it holds
 the k-th eigenvalue and its ``DEGENERACY_RTOL`` window; ``candidate_cap``
 bounds how many points the band may hold.  An empty band (lambda, lambda]
@@ -193,14 +195,16 @@ def _nmax_scalar(c: float, q: float, lam_eff: float) -> int:
     return n
 
 
-def _nmax_vec(c: np.ndarray, q: float, lam_eff: float | np.ndarray) -> np.ndarray:
+def _nmax_vec(c: np.ndarray, q: float | np.ndarray, lam_eff: float | np.ndarray) -> np.ndarray:
     """_nmax_scalar for each entry of the flat array ``c``, at the scalar
-    ``lam_eff`` (counts of shape (n,)) or at each row of the (m, 1) column
-    ``lam_eff`` (counts of shape (m, n)).  The first guess must be the
-    largest: c starts at its smallest entry and lam_eff at its largest."""
+    ``lam_eff`` (counts of shape (n,)), at each row of the (m, 1) column
+    ``lam_eff`` (counts of shape (m, n)), or at per-entry ``q`` and
+    ``lam_eff`` arrays.  Callers take sums of the counts in int64, bounded
+    by the first guess times len(c) below: for one box's block, c starting
+    at its smallest entry and lam_eff at its largest, that guess is the
+    largest.  A run that mixes boxes need not start with its largest guess;
+    ``_band_runs`` and lattice's ``_runs`` bound its sum when they form it."""
     guess = np.sqrt(np.maximum((lam_eff / PI_SQUARED - c) / q, 0.0))
-    # guess.item(0) is the largest, so this also bounds each row's sum of
-    # counts, which callers take in int64.
     if guess.item(0) * len(c) > _NMAX_LIMIT:
         raise _unresolved(lam_eff)
     g = guess.astype(np.int64)
@@ -284,61 +288,19 @@ def _octant_pieces(
         i1 += rows
 
 
-def _octant_blocks(
-    inv: tuple[float, float, float], lam_eff: float, cap: int
-) -> Iterator[np.ndarray]:
-    """The flat c = t1^2*q1 + t2^2*q2 of each piece of ``_octant_pieces``."""
-    q1, q2, _ = inv
-    for i1, rows, lo, hi in _octant_pieces(inv, lam_eff, cap):
-        t1 = np.arange(i1, i1 + rows, dtype=np.float64)
-        t2 = np.arange(lo, hi, dtype=np.float64)
-        yield (((t1 * t1) * q1)[:, None] + (t2 * t2) * q2).ravel()
-
-
-def _count_piece(
-    inv: tuple[float, float, float], lo_eff: float, hi_eff: float,
-    i1: int, rows: int, lo: int, hi: int,
-) -> tuple[int, int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Count one block piece at both edges of its band, by the row broadcast
-    at scalar q3 and edges, and only at hi when its first (lowest) column
-    lies above lo.
-
-    Returns its points at or below lo, its points in the band, and for its
-    columns with a point in the band, in order, c12, the band's count and
-    (i1, i2, the column's first i3 in the band).  A band with lo == hi is a
-    count: its columns hold no band points.
-    """
-    q1, q2, q3 = inv
-    t1 = np.arange(i1, i1 + rows, dtype=np.float64)
-    t2 = np.arange(lo, hi, dtype=np.float64)
-    c = (((t1 * t1) * q1)[:, None] + (t2 * t2) * q2).ravel()
-    if lo_eff == hi_eff:
-        return int(_nmax_vec(c, q3, lo_eff).sum()), 0, _NO_COLUMNS
-    if PI_SQUARED * (float(c[0]) + q3) > lo_eff:
-        below, floor, count = 0, 0, _nmax_vec(c, q3, hi_eff)
-    else:
-        g = _nmax_vec(c, q3, np.array([[hi_eff], [lo_eff]]))
-        floor = g[1]
-        below, count = int(floor.sum()), g[0] - floor
-    col = np.empty((3, rows, len(t2)), dtype=np.int64)
-    col[0] = t1[:, None]
-    col[1] = t2
-    col = col.reshape(3, -1)
-    col[2] = floor + 1
-    nz = count.nonzero()[0]
-    return below, int(count.sum()), (c[nz], count[nz], col[:, nz])
-
-
 def _count_ragged(
     bands: Sequence[tuple[tuple[float, float, float], float, float]], run: list[tuple]
 ) -> tuple[list[tuple[int, int, int]], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``_count_piece`` for each piece (band, i1, rows, lo, hi) of ``run``,
-    in one ``_nmax_vec`` call over the run's flat entries at their own q and
-    edges, always at both (an entry above lo counts 0 there).
+    """Count each piece (band, i1, rows, lo, hi) of ``run`` at both edges of
+    its band, in one ``_nmax_vec`` call over the run's flat entries at their
+    own q and edges (an entry above lo counts 0 there); only at lo when every
+    band is empty, lo == hi, as a count.  It is the one counter of band
+    pieces: a run of many bands, or one piece of a lone band.
 
     Returns, per piece, its points at or below lo, its points in the band
-    and its columns with a point in the band; and the pieces' columns, in
-    order, as ``_count_piece`` gives them.
+    and its columns with a point in the band; and, for the columns with a
+    point in the band, in order, c12, the band's count and (i1, i2, the
+    column's first i3 in the band).
     """
     b, i1, rows, lo, hi = (np.array(col) for col in zip(*run))
     q1, q2, q3, lo_eff, hi_eff = (
@@ -360,13 +322,13 @@ def _count_ragged(
     if counting:
         floors = np.add.reduceat(_nmax_vec(c, q3, lo_eff), starts).tolist()
         return [(f, 0, 0) for f in floors], _NO_COLUMNS
-    g = _nmax_vec(c, q3, np.stack((hi_eff, lo_eff)))
+    g = _nmax_vec(c, q3, np.array((hi_eff, lo_eff)))
     floor, count = g[1], g[0] - g[1]
     nz = count.nonzero()[0]
     ends = np.searchsorted(nz, [*starts[1:].tolist(), len(c)]).tolist()
     stats = zip(np.add.reduceat(floor, starts).tolist(), np.add.reduceat(count, starts).tolist(),
-                np.diff(ends, prepend=0).tolist())
-    col = np.stack((i1[np.searchsorted(at, nz, "right") - 1], i2[nz], floor[nz] + 1))
+                [end - start for start, end in zip([0, *ends], ends)])
+    col = np.array((i1[np.searchsorted(at, nz, "right") - 1], i2[nz], floor[nz] + 1))
     return list(stats), (c[nz], count[nz], col)
 
 
@@ -401,12 +363,14 @@ def _band_cap(lo_eff: float, hi_eff: float, cap: int) -> ResourceLimitError:
 def _octant_band(
     inv: tuple[float, float, float], lo_eff: float, hi_eff: float, cap: int
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """``_octant_bands`` for the one band (lo_eff, hi_eff]: one run a piece,
-    at the scalar q3 and edges of the box, and no run or group bookkeeping."""
+    """``_octant_bands`` for the one band (lo_eff, hi_eff]: ``_count_ragged``
+    counts one piece a call, so beside the band's columns a lone band holds
+    one piece's arrays at a time, and there is no run or group bookkeeping."""
+    band = [(inv, lo_eff, hi_eff)]
     below = size = 0
     parts = []
     for piece in _octant_pieces(inv, hi_eff, cap):
-        floor, count, part = _count_piece(inv, lo_eff, hi_eff, *piece)
+        ((floor, count, _),), part = _count_ragged(band, [(0, *piece)])
         below += floor
         size += count
         if size > cap:
@@ -494,10 +458,9 @@ def _octant_bands(
     of at most ``_BAND_POINTS`` points (a bigger band alone) and yielded
     before the next run, so a pass holds one run and one group.  A lone
     band, or a band alone in its run, takes ``_octant_band``: one piece a
-    kernel call, at the scalar q3 and edges of its box.  Each value is
-    computed with the float64 operations of the membership predicate, so it
-    is the number the counters compare.  A slice wider than ``cap`` columns,
-    or more than ``cap`` points in a band, raises
+    kernel call.  Each value is computed with the float64 operations of the
+    membership predicate, so it is the number the counters compare.  A slice
+    wider than ``cap`` columns, or more than ``cap`` points in a band, raises
     :class:`ResourceLimitError` before any of that band's point arrays
     exists; which band of a batch refuses first can differ from band by
     band, so callers redo a refused batch with ``_redone_alone``.
@@ -547,10 +510,11 @@ def _cube_octant_hist(m: int) -> np.ndarray:
 def counts_upto(cuboid: Cuboid, lams: Sequence[float]) -> list[int]:
     """``count_upto`` at every lambda of ``lams``, in their order.
 
-    One walk of the octant below the largest lambda counts them all: one
-    ``_nmax_vec`` call per block piece counts its columns at every lambda,
-    largest first.  That call holds len(lams) rows of up to ``_BLOCK``
-    counts, so its memory grows with the number of lambda.
+    One walk of the octant's pieces below the largest lambda counts them
+    all: one ``_nmax_vec`` call per piece counts its columns at the (m, 1)
+    column of edges, largest first, and sums each row.  That call holds
+    len(lams) rows of up to ``_BLOCK`` counts, so its memory grows with the
+    number of lambda.
     """
     for lam in lams:
         if lam < 0.0 or not math.isfinite(lam):
@@ -558,11 +522,14 @@ def counts_upto(cuboid: Cuboid, lams: Sequence[float]) -> list[int]:
     if not lams:
         return []
     order = sorted(range(len(lams)), key=lams.__getitem__, reverse=True)
-    rows = np.array([[lams[i]] for i in order]) * (1.0 + COUNT_EPS)
-    q3 = cuboid.inv_sq[2]
+    edges = np.array([[lams[i]] for i in order]) * (1.0 + COUNT_EPS)
+    q1, q2, q3 = cuboid.inv_sq
     totals = [0] * len(lams)
-    for c in _octant_blocks(cuboid.inv_sq, rows.item(0), DEFAULT_CANDIDATE_CAP):
-        sums = _nmax_vec(c, q3, rows).sum(axis=1).tolist()
+    for i1, rows, lo, hi in _octant_pieces(cuboid.inv_sq, edges.item(0), DEFAULT_CANDIDATE_CAP):
+        t1 = np.arange(i1, i1 + rows, dtype=np.float64)
+        t2 = np.arange(lo, hi, dtype=np.float64)
+        c = (((t1 * t1) * q1)[:, None] + (t2 * t2) * q2).ravel()
+        sums = _nmax_vec(c, q3, edges).sum(axis=1).tolist()
         totals = [t + s for t, s in zip(totals, sums)]
     counts = [0] * len(lams)
     for i, total in zip(order, totals):
@@ -576,14 +543,7 @@ def count_upto(cuboid: Cuboid, lam: float) -> int:
     Equals the number of positive lattice triples inside the closed ellipsoid
     E(lam); counting is inclusive at the boundary within ``COUNT_EPS``.
     """
-    if lam < 0.0 or not math.isfinite(lam):
-        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    lam_eff = lam * (1.0 + COUNT_EPS)
-    q3 = cuboid.inv_sq[2]
-    total = 0
-    for c in _octant_blocks(cuboid.inv_sq, lam_eff, DEFAULT_CANDIDATE_CAP):
-        total += int(_nmax_vec(c, q3, lam_eff).sum())
-    return total
+    return counts_upto(cuboid, [lam])[0]
 
 
 def _weyl_guess(cuboid: Cuboid, k: int) -> float:
