@@ -50,12 +50,12 @@ from .spectrum import (
     _BLOCK,
     DEFAULT_CANDIDATE_CAP,
     PI_SQUARED,
+    UNIT_CUBE,
     Cuboid,
     ResourceLimitError,
-    _octant_band,
+    _band,
     _octant_bands,
     _redone_alone,
-    cube_spectrum_table,
     kth_eigenvalue,
 )
 
@@ -152,7 +152,9 @@ class _Search:
 
     def __init__(self, k: int, cap: int):
         self.k, self.cap, self.cells, self.lower = k, cap, 0, math.inf
-        self.best, self.point = PI_SQUARED * float(cube_spectrum_table(k)[0][k]), (1.0, 1.0)
+        # lambda_k of the cube from its band: the record's one evaluation is
+        # the kth_eigenvalue call at the returned box.
+        self.best, self.point = _band(UNIT_CUBE, k, cap, from_zero=False)[2], (1.0, 1.0)
 
     def level(self, chunks) -> _Cells:
         """Bound each chunk (box, parent bound, below, s, cell of each row);
@@ -183,7 +185,7 @@ class _Search:
             bands = [((1.0 / u1, 1.0 / v1, u0 * v0), 0.0, best * (1.0 + MARGIN))
                      for u0, u1, v0, v1 in cells[at:]]
             for _, _, t in _redone_alone(bands, lambda b: _octant_bands(b, self.cap),
-                                         lambda band: _octant_band(*band, self.cap)):
+                                         lambda band: next(_octant_bands([band], self.cap))):
                 if rows and size + t.shape[1] > _BLOCK:
                     yield self._root_chunk(boxes, rows)
                     boxes, rows, size = [], [], 0

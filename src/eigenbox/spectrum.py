@@ -20,14 +20,15 @@ integer.  ``kth_eigenvalues`` (``kth_eigenvalue`` is its one-box call) and
 ``spectrum_points`` go through one band pass, ``_octant_bands``, which
 counts each column's i3 points at both edges of a band (lo, hi] and returns
 the band's eigenvalues with their index triples.  One piece counter,
-``_count_ragged``, counts every band piece: the pieces of many boxes' bands
-share runs of at most ``_BLOCK`` entries, one call a run, so
-``kth_eigenvalues`` pays numpy's dispatch per run rather than per box, and a
-lone band passes it one piece a call.  The band sits around the two-term
-Weyl guess for lambda_k (from 0 for a spectrum) and widens until it holds
-the k-th eigenvalue and its ``DEGENERACY_RTOL`` window; ``candidate_cap``
-bounds how many points the band may hold.  An empty band (lambda, lambda]
-is a count: the identity suite takes N of all its boxes from one such pass.
+``_count_ragged``, counts every band piece: the pieces of all bands, one
+band or many, are packed in band order into runs of at most ``_BLOCK``
+entries, one call a run, so ``kth_eigenvalues`` pays numpy's dispatch per
+run rather than per box, and a big band spans runs.  The band sits around
+the two-term Weyl guess for lambda_k (from 0 for a spectrum) and widens
+until it holds the k-th eigenvalue and its ``DEGENERACY_RTOL`` window;
+``candidate_cap`` bounds how many points the band may hold.  An empty band
+(lambda, lambda] is a count: the identity suite takes N of all its boxes
+from one such pass.
 ``spectrum_points`` sorts the band and groups it into spectral points
 ``_GROUP`` values at a time: two ``searchsorted`` calls give the chunk's
 window ends and starts, and its index triples become Python tuples in one
@@ -202,8 +203,8 @@ def _nmax_vec(c: np.ndarray, q: float | np.ndarray, lam_eff: float | np.ndarray)
     ``lam_eff`` arrays.  Callers take sums of the counts in int64, bounded
     by the first guess times len(c) below: for one box's block, c starting
     at its smallest entry and lam_eff at its largest, that guess is the
-    largest.  A run that mixes boxes need not start with its largest guess;
-    ``_band_runs`` and lattice's ``_runs`` bound its sum when they form it."""
+    largest.  A run of many pieces need not start with its largest guess;
+    ``_piece_runs`` and lattice's ``_runs`` bound its sum when they form it."""
     guess = np.sqrt(np.maximum((lam_eff / PI_SQUARED - c) / q, 0.0))
     if guess.item(0) * len(c) > _NMAX_LIMIT:
         raise _unresolved(lam_eff)
@@ -295,7 +296,7 @@ def _count_ragged(
     its band, in one ``_nmax_vec`` call over the run's flat entries at their
     own q and edges (an entry above lo counts 0 there); only at lo when every
     band is empty, lo == hi, as a count.  It is the one counter of band
-    pieces: a run of many bands, or one piece of a lone band.
+    pieces: it counts each run of ``_piece_runs``.
 
     Returns, per piece, its points at or below lo, its points in the band
     and its columns with a point in the band; and, for the columns with a
@@ -360,88 +361,31 @@ def _band_cap(lo_eff: float, hi_eff: float, cap: int) -> ResourceLimitError:
     )
 
 
-def _octant_band(
-    inv: tuple[float, float, float], lo_eff: float, hi_eff: float, cap: int
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """``_octant_bands`` for the one band (lo_eff, hi_eff]: ``_count_ragged``
-    counts one piece a call, so beside the band's columns a lone band holds
-    one piece's arrays at a time, and there is no run or group bookkeeping."""
-    band = [(inv, lo_eff, hi_eff)]
-    below = size = 0
-    parts = []
-    for piece in _octant_pieces(inv, hi_eff, cap):
-        ((floor, count, _),), part = _count_ragged(band, [(0, *piece)])
-        below += floor
-        size += count
-        if size > cap:
-            raise _band_cap(lo_eff, hi_eff, cap)
-        if len(part[0]):
-            parts.append(part)
-    if not parts:
-        return below, np.empty(0), np.empty((3, 0), dtype=np.int64)
-    c12, count, col = (p[0] if len(p) == 1 else np.concatenate(p, axis=-1) for p in zip(*parts))
-    return (below, *_band_points(c12, count, col, inv[2]))
-
-
-def _band_runs(
+def _piece_runs(
     bands: Sequence[tuple[tuple[float, float, float], float, float]], cap: int
-) -> Iterator[tuple[list[int], list[tuple]]]:
-    """The runs of ``_octant_bands``: (members, pieces) of consecutive whole
-    bands whose ``_octant_pieces`` at hi_eff hold at most ``_BLOCK`` entries,
-    with the run's largest count times its entries within 2^53, as in
-    ``_block_columns``.  A band over either budget is alone in its run."""
-    members, run, length, top = [], [], 0, 0.0
+) -> Iterator[tuple[list[tuple], int]]:
+    """The runs of ``_octant_bands``: (run, closed), with run the next
+    pieces (band, i1, rows, lo, hi) of the bands' ``_octant_pieces`` at
+    hi_eff, in band order, at most ``_BLOCK`` entries, and the run's largest
+    count times its entries within 2^53, as in ``_block_columns``; a piece
+    over either budget is alone in its run.  Every band before ``closed``
+    has all its pieces in this run or an earlier one."""
+    run, length, top = [], 0, 0.0
     for b, (inv, _, hi_eff) in enumerate(bands):
         q1, q2, q3 = inv
-        pieces = [(b, *piece) for piece in _octant_pieces(inv, hi_eff, cap)]
-        entries = sum(rows * (hi - lo) for _, _, rows, lo, hi in pieces)
-        # Column (1, 1) has the band's largest count.
-        guess = math.sqrt(max((hi_eff / PI_SQUARED - (q1 + q2)) / q3, 0.0))
-        if members and (length + entries > _BLOCK
+        for i1, rows, lo, hi in _octant_pieces(inv, hi_eff, cap):
+            entries = rows * (hi - lo)
+            # Column (i1, lo) has the piece's largest count.
+            c = float(i1 * i1) * q1 + float(lo * lo) * q2
+            guess = math.sqrt(max((hi_eff / PI_SQUARED - c) / q3, 0.0))
+            if run and (length + entries > _BLOCK
                         or max(top, guess) * (length + entries) > _NMAX_LIMIT):
-            yield members, run
-            members, run, length, top = [], [], 0, 0.0
-        members.append(b)
-        run += pieces
-        length += entries
-        top = max(top, guess)
-    if members:
-        yield members, run
-
-
-def _run_bands(bands, members, run, cap):
-    """Yield (below, values, triples) for the whole bands ``members``, whose
-    block pieces ``run`` one kernel call counts; the bands are assembled in
-    groups of at most ``_BAND_POINTS`` points (a bigger band alone)."""
-    stats, part = _count_ragged(bands, run) if run else ([], _NO_COLUMNS)
-    below, size, ncols = (dict.fromkeys(members, 0) for _ in range(3))
-    for (x, *_), (f, s, m) in zip(run, stats):
-        below[x] += f
-        size[x] += s
-        ncols[x] += m
-    for x in members:
-        if size[x] > cap:
-            raise _band_cap(*bands[x][1:], cap)
-    c12, count, col = part
-    start = end = 0
-    while members:
-        group, points = [members[0]], size[members[0]]
-        for x in members[1:]:
-            if points + size[x] > _BAND_POINTS:
-                break
-            group.append(x)
-            points += size[x]
-        members = members[len(group):]
-        start, end = end, end + sum(ncols[x] for x in group)
-        if not points:
-            values, triples = np.empty(0), np.empty((3, 0), dtype=np.int64)
-        else:
-            q3 = np.repeat([bands[x][0][2] for x in group], [size[x] for x in group])
-            values, triples = _band_points(c12[start:end], count[start:end], col[:, start:end], q3)
-        at = 0
-        for x in group:
-            yield below[x], values[at : at + size[x]], triples[:, at : at + size[x]]
-            at += size[x]
+                yield run, b
+                run, length, top = [], 0, 0.0
+            run.append((b, i1, rows, lo, hi))
+            length += entries
+            top = max(top, guess)
+    yield run, len(bands)
 
 
 def _octant_bands(
@@ -453,26 +397,51 @@ def _octant_bands(
     Yields, band by band, the number of points with eigenvalue <= lo_eff,
     and the eigenvalues (unsorted) of the points in the band with a (3, n)
     array of their (i1, i2, i3), in the order of their blocks, columns and
-    i3.  Whole bands share the runs of ``_band_runs``, counted at both edges
-    in one ``_nmax_vec`` call a run; a run's bands are assembled in groups
-    of at most ``_BAND_POINTS`` points (a bigger band alone) and yielded
-    before the next run, so a pass holds one run and one group.  A lone
-    band, or a band alone in its run, takes ``_octant_band``: one piece a
-    kernel call.  Each value is computed with the float64 operations of the
-    membership predicate, so it is the number the counters compare.  A slice
-    wider than ``cap`` columns, or more than ``cap`` points in a band, raises
-    :class:`ResourceLimitError` before any of that band's point arrays
-    exists; which band of a batch refuses first can differ from band by
-    band, so callers redo a refused batch with ``_redone_alone``.
+    i3.  The pieces of all bands share the runs of ``_piece_runs``, counted
+    at both edges in one ``_count_ragged`` call a run, so a band may span
+    runs and a run may hold pieces of many bands.  After each run, the bands
+    it closes are assembled in groups of at most ``_BAND_POINTS`` points (a
+    bigger band alone) and yielded; a pass holds one run, one group and the
+    columns of the one band still open.  Each value is computed with the
+    float64 operations of the membership predicate, so it is the number the
+    counters compare.  A slice wider than ``cap`` columns, or more than
+    ``cap`` points in a band, raises :class:`ResourceLimitError` before any
+    of that band's point arrays exists; which band of a batch refuses first
+    can differ from band by band, so callers redo a refused batch with
+    ``_redone_alone``.
     """
-    if len(bands) == 1:
-        yield _octant_band(*bands[0], cap)
-        return
-    for members, run in _band_runs(bands, cap):
-        if len(members) == 1:
-            yield _octant_band(*bands[members[0]], cap)
-        else:
-            yield from _run_bands(bands, members, run, cap)
+    below, size, ncols = ([0] * len(bands) for _ in range(3))
+    parts, done = [], 0
+    for run, closed in _piece_runs(bands, cap):
+        stats, part = _count_ragged(bands, run) if run else ([], _NO_COLUMNS)
+        for (x, *_), (f, s, m) in zip(run, stats):
+            below[x] += f
+            size[x] += s
+            ncols[x] += m
+            if size[x] > cap:
+                raise _band_cap(*bands[x][1:], cap)
+        parts.append(part)
+        if closed == done:
+            continue
+        c12, count, col = (p[0] if len(p) == 1 else np.concatenate(p, axis=-1) for p in zip(*parts))
+        end = 0
+        while done < closed:
+            first, points = done, size[done]
+            done += 1
+            while done < closed and points + size[done] <= _BAND_POINTS:
+                points += size[done]
+                done += 1
+            start, end = end, end + sum(ncols[first:done])
+            q3 = [bands[x][0][2] for x in range(first, done)]
+            q3 = q3[0] if len(set(q3)) == 1 else np.repeat(q3, size[first:done])
+            values, triples = _band_points(c12[start:end], count[start:end], col[:, start:end], q3)
+            at = 0
+            for x in range(first, done):
+                yield below[x], values[at : at + size[x]], triples[:, at : at + size[x]]
+                at += size[x]
+        if done < len(bands):
+            # The open band's columns, copied so that the closed ones can go.
+            parts = [tuple(p[..., end:].copy() for p in (c12, count, col))]
 
 
 def _redone_alone(items: Sequence, batch, alone) -> Iterator:

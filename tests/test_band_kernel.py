@@ -26,7 +26,7 @@ from eigenbox.spectrum import (
     UNIT_CUBE,
     _nmax_scalar,
     _nmax_vec,
-    _octant_band,
+    _octant_bands,
     _weyl_guess,
     kth_eigenvalue,
     spectrum_points,
@@ -178,8 +178,13 @@ def ref_spectrum(cuboid, k_max, cap=DEFAULT_CANDIDATE_CAP):
 
 
 def check_band(cuboid, lo, hi):
-    below, values, triples = _octant_band(cuboid.inv_sq, lo, hi, DEFAULT_CANDIDATE_CAP)
-    ref_below, ref_values, ref_rows = ref_octant_band(cuboid.inv_sq, lo, hi, DEFAULT_CANDIDATE_CAP)
+    band = (cuboid.inv_sq, lo, hi)
+    check_band_output(next(_octant_bands([band], DEFAULT_CANDIDATE_CAP)), band)
+
+
+def check_band_output(output, band):
+    below, values, triples = output
+    ref_below, ref_values, ref_rows = ref_octant_band(*band, DEFAULT_CANDIDATE_CAP)
     assert below == ref_below
     assert triples.shape == (3, len(values))
     assert np.array_equal(np.sort(values), np.sort(ref_values))
@@ -243,6 +248,23 @@ def test_short_width_estimates_widen(monkeypatch):
     monkeypatch.setattr(spectrum, "_slice_width", lambda rem, q2: 1)
     for cuboid in FIXED_BOXES:
         check_all(cuboid, ks=(1, 5, 20, 300), k_max=200)
+
+
+def test_a_band_spans_runs_between_its_neighbours(monkeypatch):
+    # At _BLOCK = 128 the big band's pieces fill three runs: the first one
+    # shared with the band before it, the last one with the band after it.
+    monkeypatch.setattr(spectrum, "_BLOCK", 128)
+    g = _weyl_guess(FIXED_BOXES[0], 3000)
+    small, big = (UNIT_CUBE.inv_sq, 0.0, 30.0), (FIXED_BOXES[0].inv_sq, 0.8 * g, 1.2 * g)
+    bands = [small, big, small]
+    runs = list(spectrum._piece_runs(bands, DEFAULT_CANDIDATE_CAP))
+    members = [{b for b, *_ in run} for run, _ in runs]
+    assert len(members) >= 3 and members[0] == {0, 1} and members[-1] == {1, 2}
+    assert all(m == {1} for m in members[1:-1])
+    # Band 0 closes with the first run, band 1 and 2 with the last one.
+    assert [closed for _, closed in runs] == [1] * (len(runs) - 1) + [3]
+    for output, band in zip(_octant_bands(bands, DEFAULT_CANDIDATE_CAP), bands, strict=True):
+        check_band_output(output, band)
 
 
 @given(cuboid=boxes())

@@ -34,7 +34,6 @@ from eigenbox.spectrum import (
     _BLOCK,
     _block_columns,
     _nmax_vec,
-    _octant_band,
     _octant_bands,
     _redone_alone,
     _slice_width,
@@ -228,7 +227,7 @@ def test_run_boundaries_change_nothing(monkeypatch, block, points, narrow):
     bands = [(c.inv_sq, 0.5 * _weyl_guess(c, k), 1.2 * _weyl_guess(c, k)) for c, k in pairs]
     bands += [(UNIT_CUBE.inv_sq, 0.0, 30.0), (UNIT_CUBE.inv_sq, 300.0, 300.0)]
     for band, (below, values, triples) in zip(bands, _octant_bands(bands, DEFAULT_CANDIDATE_CAP)):
-        ref_below, ref_values, ref_triples = _octant_band(*band, DEFAULT_CANDIDATE_CAP)
+        ref_below, ref_values, ref_triples = next(_octant_bands([band], DEFAULT_CANDIDATE_CAP))
         assert below == ref_below
         assert values.tobytes() == ref_values.tobytes()
         assert np.array_equal(triples, ref_triples)
@@ -316,20 +315,20 @@ def test_a_refused_band_pass_is_redone_band_by_band():
     # counted.
     bands = [(UNIT_CUBE.inv_sq, 0.0, 50.0), (UNIT_CUBE.inv_sq, 0.0, 3000.0),
              (Cuboid.from_sides(0.05, 1.0).inv_sq, 0.0, 1.0e5)]
-    alone = _outcome(lambda: [_octant_band(*band, 40) for band in bands])
+    alone = _outcome(lambda: [next(_octant_bands([band], 40)) for band in bands])
     assert alone[1].startswith("band (0, 3000]")
     assert _outcome(lambda: list(_octant_bands(bands, 40)))[1].startswith("a slice below")
     yielded = []
 
     def redone():
         for out in _redone_alone(bands, lambda b: _octant_bands(b, 40),
-                                 lambda band: _octant_band(*band, 40)):
+                                 lambda band: next(_octant_bands([band], 40))):
             yielded.append(out)
 
     assert _outcome(redone) == alone
     # The first band, yielded once, before the refusal.
     assert len(yielded) == 1
-    assert yielded[0][1].tobytes() == _octant_band(*bands[0], 40)[1].tobytes()
+    assert yielded[0][1].tobytes() == next(_octant_bands(bands[:1], 40))[1].tobytes()
 
 
 def test_a_refused_one_item_batch_is_not_redone():
@@ -348,7 +347,7 @@ def test_a_refused_one_item_batch_is_not_redone():
     assert list(_redone_alone([1, 2], refuse, alone)) == [1, 2] == calls
 
 
-def test_a_band_over_the_count_budget_is_walked_alone():
+def test_runs_keep_the_count_budget_of_their_largest_piece():
     # The long side's q3 is tiny: the column (1, 1) counts some 4e14 points,
     # so one kernel call over the band's 125 entries would pass 2^53, while
     # each of its 8 blocks (one slice each) stays within it.
@@ -356,16 +355,27 @@ def test_a_band_over_the_count_budget_is_walked_alone():
     box = Cuboid(s, s, 1.0 / (s * s))
     q1, q2, q3 = box.inv_sq
     hi = PI_SQUARED * 130.0 * q1
-    guess = math.sqrt((hi / PI_SQUARED - q1 - q2) / q3)
-    ((_, run),) = spectrum._band_runs([(box.inv_sq, hi, hi)], DEFAULT_CANDIDATE_CAP)
-    assert guess < spectrum._NMAX_LIMIT < guess * sum(r * (h - l) for _, _, r, l, h in run)
     band, small = (box.inv_sq, hi, hi), (UNIT_CUBE.inv_sq, 0.0, 300.0)
-    runs = spectrum._band_runs([small, band, small, small], DEFAULT_CANDIDATE_CAP)
-    assert [members for members, _ in runs] == [[0], [1], [2, 3]]
-    for bands in ([band, small], [small, band, small], [band, band]):
-        got = list(_octant_bands(bands, DEFAULT_CANDIDATE_CAP))
-        for (below, values, triples), ref in zip(got, bands):
-            ref_below, ref_values, ref_triples = _octant_band(*ref, DEFAULT_CANDIDATE_CAP)
+    bands = [small, band, small, small]
+    runs = [run for run, _ in spectrum._piece_runs(bands, DEFAULT_CANDIDATE_CAP)]
+    entries = [sum(r * (h - l) for _, _, r, l, h in run) for run in runs]
+    guess = math.sqrt((hi / PI_SQUARED - q1 - q2) / q3)
+    big = sum(r * (h - l) for run in runs for b, _, r, l, h in run if b == 1)
+    assert guess < spectrum._NMAX_LIMIT < guess * big
+
+    def first_count(b, i1, lo):
+        # A piece's largest count is at its first column (i1, lo).
+        (p1, p2, p3), _, top = bands[b]
+        return math.sqrt(max((top / PI_SQUARED - (float(i1 * i1) * p1 + float(lo * lo) * p2)) / p3, 0.0))
+
+    for run, n in zip(runs, entries):
+        assert n <= _BLOCK
+        assert max(first_count(b, i1, lo) for b, i1, _, lo, _ in run) * n <= spectrum._NMAX_LIMIT
+    assert sum(any(b == 1 for b, *_ in run) for run in runs) > 1
+    for batch in ([band, small], bands, [band, band]):
+        got = list(_octant_bands(batch, DEFAULT_CANDIDATE_CAP))
+        for (below, values, triples), ref in zip(got, batch):
+            ref_below, ref_values, ref_triples = ref_octant_band(*ref, DEFAULT_CANDIDATE_CAP)
             assert below == ref_below
             assert values.tobytes() == ref_values.tobytes()
             assert np.array_equal(triples, ref_triples)
@@ -405,8 +415,8 @@ def ref_roots(self):
     boxes, rows, size = [], [], 0
     for box in root_cells().T:
         u0, u1, v0, v1 = box
-        _, _, t = _octant_band(
-            (1.0 / u1, 1.0 / v1, u0 * v0), 0.0, self.best * (1.0 + MARGIN), self.cap)
+        _, _, t = next(_octant_bands(
+            [((1.0 / u1, 1.0 / v1, u0 * v0), 0.0, self.best * (1.0 + MARGIN))], self.cap))
         if rows and size + t.shape[1] > optimize._BLOCK:
             yield self._root_chunk(boxes, rows)
             boxes, rows, size = [], [], 0

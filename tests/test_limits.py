@@ -4,6 +4,8 @@ The CLI cases run in a child process with a timeout, so a kernel that loops
 forever fails the test instead of hanging the suite.
 """
 
+import csv
+import io
 import math
 import os
 import subprocess
@@ -112,6 +114,18 @@ def test_count_columns_capped():
     for count in (count_bundle, count_full):
         with pytest.raises(ResourceLimitError, match="candidate cap"):
             count(box, lam * 1.001)
+
+
+def test_optimize_at_huge_k_refuses_at_the_candidate_cap_quickly():
+    # The first incumbent, lambda_k of the cube, is one band of the cube; the
+    # cube's integer table up to k once took 4.6 GB at k = 1e8 and was killed
+    # at 1e9, before the optimum's band met the candidate cap.
+    start = time.perf_counter()
+    proc = run_cli("optimize", "--k", "1000000000000")
+    assert time.perf_counter() - start < 5.0
+    assert "Traceback" not in proc.stderr
+    (row,) = csv.DictReader(io.StringIO(proc.stdout))
+    assert row["status"].startswith("failed: ") and "(the candidate cap)" in row["status"]
 
 
 def test_count_command_above_cap_exits_3():

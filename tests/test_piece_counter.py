@@ -1,10 +1,10 @@
-"""A lone band counts its block pieces with ``_count_ragged``, one piece a call.
+"""A lone band counts its block pieces with ``_count_ragged``, in runs.
 
-``_count_ragged`` is the one counter of band pieces: a batched pass hands it
-runs of many bands, and ``_octant_band`` hands it each piece of a lone band
-alone, so a lone band holds one piece's arrays at a time, at most ``_BLOCK``
-entries, whatever its size.  Its count below the band, values and index
-triples equal those of a batched ``_octant_bands`` pass bit for bit.
+``_count_ragged`` is the one counter of band pieces: an ``_octant_bands``
+pass hands it runs of the pieces of one band or many, at most ``_BLOCK``
+entries a run, so a lone band holds one run's arrays at a time, whatever
+its size.  Its count below the band, values and index triples equal those
+of a pass that shares a run with another band, bit for bit.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ from eigenbox.spectrum import (
     PI_SQUARED,
     UNIT_CUBE,
     Cuboid,
-    _octant_band,
     _octant_bands,
     _octant_pieces,
     _weyl_guess,
@@ -42,12 +41,12 @@ def band_cases():
 
 
 def recorder(monkeypatch):
-    """Record the entries of each piece of every ``_count_ragged`` call."""
+    """Record the pieces of every ``_count_ragged`` call."""
     calls = []
     real = spectrum._count_ragged
 
     def recorded(bands, run):
-        calls.append([(b, rows * (hi - lo)) for b, _, rows, lo, hi in run])
+        calls.append(list(run))
         return real(bands, run)
 
     monkeypatch.setattr(spectrum, "_count_ragged", recorded)
@@ -57,17 +56,20 @@ def recorder(monkeypatch):
 @pytest.mark.parametrize("block", [1, 7, 64])
 @pytest.mark.parametrize("case", range(len(band_cases())))
 def test_a_lone_band_passes_one_piece_a_call(monkeypatch, block, case):
+    # What a lone band's calls must keep is flat memory: at most _BLOCK
+    # entries a call, and every piece counted once, in order.
     band = band_cases()[case]
     calls = recorder(monkeypatch)
     # The reference: the band and a partner, counted in one run.
     ref_below, ref_values, ref_triples = next(_octant_bands([band, PARTNER], DEFAULT_CANDIDATE_CAP))
-    assert len(calls) == 1 and {b for b, _ in calls[0]} == {0, 1}
+    assert len(calls) == 1 and {b for b, *_ in calls[0]} == {0, 1}
     calls.clear()
     monkeypatch.setattr(spectrum, "_BLOCK", block)
     pieces = list(_octant_pieces(band[0], band[2], DEFAULT_CANDIDATE_CAP))
-    below, values, triples = _octant_band(*band, DEFAULT_CANDIDATE_CAP)
-    assert len(calls) == len(pieces) > 1
-    assert all(len(run) == 1 and run[0][1] <= block for run in calls)
+    below, values, triples = next(_octant_bands([band], DEFAULT_CANDIDATE_CAP))
+    assert len(pieces) > 1
+    assert [piece for run in calls for piece in run] == [(0, *piece) for piece in pieces]
+    assert all(sum(rows * (hi - lo) for _, _, rows, lo, hi in run) <= block for run in calls)
     assert below == ref_below
     assert values.tobytes() == ref_values.tobytes()
     assert np.array_equal(triples, ref_triples)

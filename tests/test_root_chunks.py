@@ -14,7 +14,7 @@ import pytest
 
 from eigenbox import optimize
 from eigenbox.optimize import MARGIN, _Search, optimize_k, root_cells
-from eigenbox.spectrum import _BLOCK, DEFAULT_CANDIDATE_CAP, _octant_band
+from eigenbox.spectrum import _BLOCK, DEFAULT_CANDIDATE_CAP, _octant_bands
 
 # ---------------------------------------------------------------------------
 # Reference: one chunk per root cell.
@@ -23,8 +23,8 @@ from eigenbox.spectrum import _BLOCK, DEFAULT_CANDIDATE_CAP, _octant_band
 
 def ref_roots(self):
     for u0, u1, v0, v1 in root_cells().T:
-        _, _, t = _octant_band(
-            (1.0 / u1, 1.0 / v1, u0 * v0), 0.0, self.best * (1.0 + MARGIN), self.cap)
+        _, _, t = next(_octant_bands(
+            [((1.0 / u1, 1.0 / v1, u0 * v0), 0.0, self.best * (1.0 + MARGIN))], self.cap))
         s = (t * t).astype(np.float64)
         box = np.array([[u0], [u1], [v0], [v1]])
         yield box, np.zeros(1), np.zeros(1, np.int64), s, np.zeros(s.shape[1], np.int64)

@@ -7,11 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 from eigenbox.bounds import a1_lower_bound
 from eigenbox.spectrum import (
     COUNT_EPS,
+    DEFAULT_CANDIDATE_CAP,
     DEGENERACY_RTOL,
     PI_SQUARED,
     Cuboid,
     ResourceLimitError,
     UNIT_CUBE,
+    _band,
     count_upto,
     cube_spectrum_table,
     eigenvalue_of_index,
@@ -331,6 +333,15 @@ class TestCubeSpectrumTable:
         table_m, _, table_count = cube_spectrum_table(200)
         for k in (1, 5, 50, 200):
             assert table_count[k] == count_upto(UNIT_CUBE, PI2 * float(table_m[k]))
+
+    def test_kth_eigenvalue_of_the_cube_is_the_table_bit_for_bit(self):
+        # The certified search starts from the k-th value of the cube's band;
+        # it must equal the integer table, which takes O(k) memory.
+        table_m, _, _ = cube_spectrum_table(3000)
+        for k in range(1, 3001):
+            value = PI2 * float(table_m[k])
+            assert kth_eigenvalue(UNIT_CUBE, k).value == value
+            assert _band(UNIT_CUBE, k, DEFAULT_CANDIDATE_CAP, from_zero=False)[2] == value
 
 
 class TestDomainMonotonicity:
