@@ -94,10 +94,8 @@ def lemma31_rhs(query: BoundQuery) -> float:
     y, a, n = query.y, query.a, query.n
     if n not in (1, 2):
         raise ValueError(f"n must be 1 or 2, got {n}")
-    gamma_ratio = gamma_half(n + 2) / gamma_half(n + 3)
-    integral = math.sqrt(math.pi) / (2.0 * a) * gamma_ratio * y ** ((n + 1) / 2.0)
     corner = (2.0 * a * n) ** (n / 2.0) / (n + 2.0) ** ((n + 2) / 2.0) * y ** (n / 4.0)
-    return integral - 0.5 * y ** (n / 2.0) + corner
+    return lemma32_rhs(query) - 0.5 * y ** (n / 2.0) + corner
 
 
 def lemma32_rhs(query: BoundQuery) -> float:

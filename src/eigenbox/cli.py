@@ -1,7 +1,7 @@
 """Command-line surface: ``spectrum``, ``count``, ``optimize`` and ``verify``.
 
 Data goes to stdout (or --out); progress and commentary go to stderr.  Exit
-codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap.
+codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap or memory.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ def main(argv=None) -> int:
                "optimize": cmd_optimize, "verify": cmd_verify}[args.command]
     try:
         return command(args)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,15 +17,15 @@ in :mod:`eigenbox.spectrum` still counts the cube in integer arithmetic.
 ``verify`` does: the six line families (T_x, T+) of all boxes in one ragged
 pass of vector kernel calls and their full lattices in another, while N of
 all boxes comes from one pass of the octant band walk of
-:mod:`eigenbox.spectrum` (``_octant_bands``), which shares no code with
-those passes, so the octant identity checks it against an independent
-enumeration.
+:mod:`eigenbox.spectrum` (``_octant_bands``).  The walk shares only the
+kernel and the run packer ``_runs`` with those passes and lists its own
+pieces: the identity checks it against an independent enumeration, and a
+packer fault still fails it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -41,12 +41,12 @@ from .spectrum import (
     ResourceLimitError,
     UNIT_CUBE,
     _BLOCK,
-    _NMAX_LIMIT,
     _block_columns,
     _nmax_scalar,
     _nmax_vec,
     _octant_bands,
     _redone_alone,
+    _runs,
 )
 
 if TYPE_CHECKING:
@@ -165,21 +165,6 @@ def _check_lambda(lam: float, full_lattice: Cuboid | None = None) -> float:
     return lam * (1.0 + COUNT_EPS)
 
 
-def _runs(size: np.ndarray, guess: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Runs [i, j) of pieces, at most _BLOCK entries (or one piece) whose
-    largest first guess times their entries is at most 2^53, as
-    ``_block_columns`` sizes a block; the kernel refuses a lone piece past it."""
-    end, guess = np.cumsum(size).tolist(), guess.tolist()
-    i = start = 0
-    while i < len(end):
-        j = max(i + 1, bisect_right(end, start + _BLOCK))
-        top = max(guess[i:j])
-        if top * (end[j - 1] - start) > _NMAX_LIMIT:
-            j = max(i + 1, bisect_right(end, start + _NMAX_LIMIT // top))
-        yield i, j
-        i, start = j, end[j - 1]
-
-
 def _count_pieces(pieces: list[tuple], owners: int, points) -> list[int]:
     """Exact sums of ``points(t1, t2, c, g, lam_eff)`` per owner over pieces
     (owner, x1, rows, lo, hi, q1, q2, q3, lam_eff), the rectangles x1 ..
@@ -191,7 +176,9 @@ def _count_pieces(pieces: list[tuple], owners: int, points) -> list[int]:
     owner, x1, rows, lo, hi, q1, q2, q3, lam_eff = (np.array(col) for col in zip(*pieces))
     size = rows * (hi - lo)
     c = (x1 * x1) * q1 + (lo * lo) * q2
-    for i, j in _runs(size, np.sqrt(np.maximum((lam_eff / PI_SQUARED - c) / q3, 0.0))):
+    guess = np.sqrt(np.maximum((lam_eff / PI_SQUARED - c) / q3, 0.0))
+    for run, _ in _runs(zip(range(len(size)), size.tolist(), guess.tolist())):
+        i, j = run[0], run[-1] + 1
         starts = np.cumsum(size[i:j]) - size[i:j]
         if j == i + 1:
             p, t1 = i, np.arange(x1[i], x1[i] + rows[i], dtype=np.float64)[:, None]
@@ -302,8 +289,8 @@ def count_bundles(cuboids: Sequence[Cuboid], lams: Sequence[float]) -> list[Coun
 
 def _bundles(pairs: list[tuple[Cuboid, float]]) -> list[CountBundle]:
     lam_effs = [_check_lambda(lam, full_lattice=cuboid) for cuboid, lam in pairs]
-    # N by the octant walk, which shares no code with the lattice passes
-    # below, so the octant identity checks one enumeration against another.
+    # N by the octant walk, which shares only the kernel and the run packer
+    # with the lattice passes below: the identity checks one against another.
     octant = [(cuboid.inv_sq, lam_eff, lam_eff) for (cuboid, _), lam_eff in zip(pairs, lam_effs)]
     ns = [n for n, _, _ in _octant_bands(octant, DEFAULT_CANDIDATE_CAP)]
     heads, lines = [], []

@@ -40,7 +40,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -327,7 +327,7 @@ def sweep(k_set, config: OptimizerConfig = OptimizerConfig()) -> list[OptimalRec
         raise ValueError("k_set must be nonempty")
     if any(k < 1 for k in ks):
         raise ValueError(f"all k must be >= 1, got {ks}")
-    jobs = [(k, replace(config, threads=1)) for k in ks]
+    jobs = [(k, config) for k in ks]
     workers = _pool_size(config.threads, len(ks))
     if workers == 1:
         return [_sweep_one(job) for job in jobs]

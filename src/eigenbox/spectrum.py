@@ -20,15 +20,15 @@ integer.  ``kth_eigenvalues`` (``kth_eigenvalue`` is its one-box call) and
 ``spectrum_points`` go through one band pass, ``_octant_bands``, which
 counts each column's i3 points at both edges of a band (lo, hi] and returns
 the band's eigenvalues with their index triples.  One piece counter,
-``_count_ragged``, counts every band piece: the pieces of all bands, one
-band or many, are packed in band order into runs of at most ``_BLOCK``
-entries, one call a run, so ``kth_eigenvalues`` pays numpy's dispatch per
-run rather than per box, and a big band spans runs.  The band sits around
-the two-term Weyl guess for lambda_k (from 0 for a spectrum) and widens
-until it holds the k-th eigenvalue and its ``DEGENERACY_RTOL`` window;
-``candidate_cap`` bounds how many points the band may hold.  An empty band
-(lambda, lambda] is a count: the identity suite takes N of all its boxes
-from one such pass.
+``_count_ragged``, counts every band piece: ``_runs``, the packer of the
+lattice passes too, packs the pieces of all bands, one band or many, in
+band order into runs of at most ``_BLOCK`` entries, one call a run, so
+``kth_eigenvalues`` pays numpy's dispatch per run rather than per box, and
+a big band spans runs.  The band sits around the two-term Weyl guess for
+lambda_k (from 0 for a spectrum) and widens until it holds the k-th
+eigenvalue and its ``DEGENERACY_RTOL`` window; ``candidate_cap`` bounds
+how many points the band may hold.  An empty band (lambda, lambda] is a
+count: the identity suite takes N of all its boxes from one such pass.
 ``spectrum_points`` sorts the band and groups it into spectral points
 ``_GROUP`` values at a time: two ``searchsorted`` calls give the chunk's
 window ends and starts, and its index triples become Python tuples in one
@@ -38,7 +38,7 @@ call, so beside the band the grouping holds some 100 kB whatever k_max is.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -201,12 +201,11 @@ def _nmax_vec(c: np.ndarray, q: float | np.ndarray, lam_eff: float | np.ndarray)
     ``lam_eff`` (counts of shape (n,)), at each row of the (m, 1) column
     ``lam_eff`` (counts of shape (m, n)), or at per-entry ``q`` and
     ``lam_eff`` arrays.  Callers take sums of the counts in int64, bounded
-    by the first guess times len(c) below: for one box's block, c starting
-    at its smallest entry and lam_eff at its largest, that guess is the
-    largest.  A run of many pieces need not start with its largest guess;
-    ``_piece_runs`` and lattice's ``_runs`` bound its sum when they form it."""
+    by the largest guess times len(c) below, whatever the order of c and of
+    the rows.  ``_runs`` packs a pass's pieces, a block or the pieces of
+    several bands or line families, into calls within that bound."""
     guess = np.sqrt(np.maximum((lam_eff / PI_SQUARED - c) / q, 0.0))
-    if guess.item(0) * len(c) > _NMAX_LIMIT:
+    if guess.max() * len(c) > _NMAX_LIMIT:
         raise _unresolved(lam_eff)
     g = guess.astype(np.int64)
     for _ in range(_MAX_STEPS):
@@ -238,6 +237,24 @@ def _block_columns(c0: float, q: float, lam_eff: float) -> int:
     """
     guess = math.sqrt(max((lam_eff / PI_SQUARED - c0) / q, 0.0))
     return min(_BLOCK, int(_NMAX_LIMIT / max(guess, 1.0)))
+
+
+def _runs(pieces: Iterable[tuple[object, int, float]]) -> Iterator[tuple[list, object]]:
+    """Runs of the (piece, entries, first-column guess) ``pieces``, in order:
+    a run takes the next piece unless it would pass ``_BLOCK`` entries, or
+    its largest guess times its entries 2^53, as ``_block_columns`` sizes a
+    block.  Yields each run with the piece after it (None after the last
+    run, empty without pieces), for ``_piece_runs`` and ``_count_pieces``."""
+    run, length, top = [], 0, 0.0
+    for piece, entries, guess in pieces:
+        if run and (length + entries > _BLOCK
+                    or max(top, guess) * (length + entries) > _NMAX_LIMIT):
+            yield run, piece
+            run, length, top = [], 0, 0.0
+        run.append(piece)
+        length += entries
+        top = max(top, guess)
+    yield run, None
 
 
 def _slice_width(rem: float, q2: float) -> int:
@@ -366,26 +383,20 @@ def _piece_runs(
 ) -> Iterator[tuple[list[tuple], int]]:
     """The runs of ``_octant_bands``: (run, closed), with run the next
     pieces (band, i1, rows, lo, hi) of the bands' ``_octant_pieces`` at
-    hi_eff, in band order, at most ``_BLOCK`` entries, and the run's largest
-    count times its entries within 2^53, as in ``_block_columns``; a piece
-    over either budget is alone in its run.  Every band before ``closed``
-    has all its pieces in this run or an earlier one."""
-    run, length, top = [], 0, 0.0
-    for b, (inv, _, hi_eff) in enumerate(bands):
-        q1, q2, q3 = inv
-        for i1, rows, lo, hi in _octant_pieces(inv, hi_eff, cap):
-            entries = rows * (hi - lo)
-            # Column (i1, lo) has the piece's largest count.
-            c = float(i1 * i1) * q1 + float(lo * lo) * q2
-            guess = math.sqrt(max((hi_eff / PI_SQUARED - c) / q3, 0.0))
-            if run and (length + entries > _BLOCK
-                        or max(top, guess) * (length + entries) > _NMAX_LIMIT):
-                yield run, b
-                run, length, top = [], 0, 0.0
-            run.append((b, i1, rows, lo, hi))
-            length += entries
-            top = max(top, guess)
-    yield run, len(bands)
+    hi_eff, in band order, as ``_runs`` packs them, and closed the band of
+    the piece after the run, len(bands) after the last run: every band
+    before it has all its pieces in this run or an earlier one."""
+    def pieces():
+        for b, (inv, _, hi_eff) in enumerate(bands):
+            q1, q2, q3 = inv
+            for i1, rows, lo, hi in _octant_pieces(inv, hi_eff, cap):
+                # Column (i1, lo) has the piece's largest count.
+                c = float(i1 * i1) * q1 + float(lo * lo) * q2
+                guess = math.sqrt(max((hi_eff / PI_SQUARED - c) / q3, 0.0))
+                yield (b, i1, rows, lo, hi), rows * (hi - lo), guess
+
+    for run, after in _runs(pieces()):
+        yield run, len(bands) if after is None else after[0]
 
 
 def _octant_bands(
@@ -401,14 +412,14 @@ def _octant_bands(
     at both edges in one ``_count_ragged`` call a run, so a band may span
     runs and a run may hold pieces of many bands.  After each run, the bands
     it closes are assembled in groups of at most ``_BAND_POINTS`` points (a
-    bigger band alone) and yielded; a pass holds one run, one group and the
-    columns of the one band still open.  Each value is computed with the
-    float64 operations of the membership predicate, so it is the number the
-    counters compare.  A slice wider than ``cap`` columns, or more than
-    ``cap`` points in a band, raises :class:`ResourceLimitError` before any
-    of that band's point arrays exists; which band of a batch refuses first
-    can differ from band by band, so callers redo a refused batch with
-    ``_redone_alone``.
+    bigger band alone) and yielded; a pass holds the pieces and arrays of one
+    run, one group and the columns of the one band still open.  Each value
+    is computed with the float64 operations of the membership predicate, so
+    it is the number the counters compare.  A slice wider than ``cap``
+    columns, or more than ``cap`` points in a band, raises
+    :class:`ResourceLimitError` before any of that band's point arrays
+    exists; which band of a batch refuses first can differ from band by
+    band, so callers redo a refused batch with ``_redone_alone``.
     """
     below, size, ncols = ([0] * len(bands) for _ in range(3))
     parts, done = [], 0
@@ -481,28 +492,23 @@ def counts_upto(cuboid: Cuboid, lams: Sequence[float]) -> list[int]:
 
     One walk of the octant's pieces below the largest lambda counts them
     all: one ``_nmax_vec`` call per piece counts its columns at the (m, 1)
-    column of edges, largest first, and sums each row.  That call holds
-    len(lams) rows of up to ``_BLOCK`` counts, so its memory grows with the
-    number of lambda.
+    column of edges, in the order of ``lams``, and sums each row.  That call
+    holds len(lams) rows of up to ``_BLOCK`` counts, so its memory grows
+    with the number of lambda.
     """
     for lam in lams:
         if lam < 0.0 or not math.isfinite(lam):
             raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    if not lams:
-        return []
-    order = sorted(range(len(lams)), key=lams.__getitem__, reverse=True)
-    edges = np.array([[lams[i]] for i in order]) * (1.0 + COUNT_EPS)
+    edges = np.array([[lam] for lam in lams]) * (1.0 + COUNT_EPS)
     q1, q2, q3 = cuboid.inv_sq
-    totals = [0] * len(lams)
-    for i1, rows, lo, hi in _octant_pieces(cuboid.inv_sq, edges.item(0), DEFAULT_CANDIDATE_CAP):
+    counts = [0] * len(lams)
+    top = float(edges.max(initial=0.0))
+    for i1, rows, lo, hi in _octant_pieces(cuboid.inv_sq, top, DEFAULT_CANDIDATE_CAP):
         t1 = np.arange(i1, i1 + rows, dtype=np.float64)
         t2 = np.arange(lo, hi, dtype=np.float64)
         c = (((t1 * t1) * q1)[:, None] + (t2 * t2) * q2).ravel()
         sums = _nmax_vec(c, q3, edges).sum(axis=1).tolist()
-        totals = [t + s for t, s in zip(totals, sums)]
-    counts = [0] * len(lams)
-    for i, total in zip(order, totals):
-        counts[i] = total
+        counts = [t + s for t, s in zip(counts, sums)]
     return counts
 
 

@@ -267,6 +267,13 @@ def test_a_band_spans_runs_between_its_neighbours(monkeypatch):
         check_band_output(output, band)
 
 
+def test_bands_without_pieces_close_in_one_empty_run():
+    bands = [(UNIT_CUBE.inv_sq, 0.0, 0.0), (FIXED_BOXES[0].inv_sq, 1.0, 1.0)]
+    assert list(spectrum._piece_runs(bands, DEFAULT_CANDIDATE_CAP)) == [([], 2)]
+    for below, values, triples in _octant_bands(bands, DEFAULT_CANDIDATE_CAP):
+        assert below == 0 and values.shape == (0,) and triples.shape == (3, 0)
+
+
 @given(cuboid=boxes())
 @example(cuboid=EXTRA_BOXES[1])
 @example(cuboid=Cuboid.from_sides(a1_lower_bound(), a1_lower_bound() ** -0.5))

@@ -560,6 +560,29 @@ def test_an_overcounted_n_fails_every_identity_report(monkeypatch, tmp_path):
     assert out.read_text().count(",false\n") == 20
 
 
+def dropping_last(runs):
+    # A packer that loses the last piece of each run of two or more pieces.
+    def faulty(pieces):
+        for run, after in runs(pieces):
+            yield (run[:-1] if len(run) > 1 else run), after
+
+    return faulty
+
+
+@pytest.mark.parametrize("modules", [("spectrum",), ("lattice",), ("spectrum", "lattice")])
+def test_a_packer_fault_fails_the_identity(modules, monkeypatch):
+    # The octant walk and the lattice passes share one packer, but each
+    # enumerates its own pieces: a piece lost from the runs of N, of T, T_x
+    # and T+, or of both, shows in the identity.
+    real = spectrum._runs
+    assert lattice._runs is real
+    assert all(r.passed for r in suites.identity_suite(20, seed=5))
+    for name in modules:
+        monkeypatch.setattr({"spectrum": spectrum, "lattice": lattice}[name], "_runs",
+                            dropping_last(real))
+    assert not all(r.passed for r in suites.identity_suite(20, seed=5))
+
+
 def test_exact_reports_pass_only_at_zero_slack():
     assert BoundReport("x", {}, 5.0, 5.0, exact=True).passed
     assert not BoundReport("x", {}, 5.0, 6.0, exact=True).passed

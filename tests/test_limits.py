@@ -128,6 +128,44 @@ def test_optimize_at_huge_k_refuses_at_the_candidate_cap_quickly():
     assert row["status"].startswith("failed: ") and "(the candidate cap)" in row["status"]
 
 
+def test_the_kernel_guard_reads_its_largest_guess():
+    # Eight entries at c = 0 and q = 1: about 2 points each at the small
+    # edge, 2^51 at the large one, whose sum 2^54 passes 2^53.  The kernel
+    # refuses wherever the large edge stands among the rows or the entries.
+    small, large = PI**2 * 4.5, PI**2 * 2.0**102
+    c = np.zeros(8)
+    for rows in ([small, large], [large, small], [small, large, small]):
+        with pytest.raises(ResourceLimitError):
+            _nmax_vec(c, 1.0, np.array(rows)[:, None])
+    for at in range(len(c)):
+        lam = np.full(len(c), small)
+        lam[at] = large
+        with pytest.raises(ResourceLimitError):
+            _nmax_vec(c, 1.0, lam)
+    # At 2^49 points an entry the sum 2^52 is within the bound.
+    got = _nmax_vec(c, 1.0, np.array([[small], [PI**2 * 2.0**98]]))
+    assert got.tolist() == [[2] * 8, [2**49] * 8]
+
+
+def test_optimize_out_of_memory_exits_3():
+    # The k range's list cannot be allocated; under a 4 GiB address space
+    # that holds on any host.
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from eigenbox.cli import entrypoint; entrypoint()",
+         "optimize", "--k-min", "1", "--k-max", "1000000000000000"],
+        env=env, capture_output=True, text=True, timeout=30, preexec_fn=cap,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("error:") == 1 and proc.stderr.startswith("error: ")
+
+
 def test_count_command_above_cap_exits_3():
     proc = run_cli("count", "--a1", "1", "--a2", "1", "--lambda", "1e12")
     assert proc.returncode == 3
