@@ -294,14 +294,14 @@ def _bundles(pairs: list[tuple[Cuboid, float]]) -> list[CountBundle]:
     octant = [(cuboid.inv_sq, lam_eff, lam_eff) for (cuboid, _), lam_eff in zip(pairs, lam_effs)]
     ns = [n for n, _, _ in _octant_bands(octant, DEFAULT_CANDIDATE_CAP)]
     heads, lines = [], []
-    for (cuboid, lam), lam_eff, n in zip(pairs, lam_effs, ns):
+    for (cuboid, lam), lam_eff, n in zip(pairs, lam_effs, ns, strict=True):
         planes = [_axis_pairs(cuboid.inv_sq, axis) for axis in (1, 2, 3)]
         lines += [_v_lines(qu, qv, lam, lam_eff) for qu, qv in planes]
         lines += [(qu, qv, lam_eff, _nmax_scalar(qv, qu, lam_eff)) for qu, qv in planes]
         heads.append((lam, n, [_nmax_scalar(0.0, q, lam_eff) for q in cuboid.inv_sq]))
     sums = _line_sums(lines)
     bundles = []
-    for b, ((lam, n, f), t) in enumerate(zip(heads, _full_counts(pairs))):
+    for b, ((lam, n, f), t) in enumerate(zip(heads, _full_counts(pairs), strict=True)):
         t_x = [2 * f[i] + 1 + 2 * (2 * s + f[j]) for (i, j), s in zip(_PLANE_AXES, sums[6 * b :])]
         bundles.append(CountBundle(lam, n, t, *t_x, *sums[6 * b + 3 : 6 * b + 6], *f))
     return bundles

@@ -9,24 +9,28 @@ every CSV row and at the top of every JSON document, and emit rows in a fixed
 order with a fixed line terminator, which makes output byte-identical across
 runs and worker counts.
 
-The CSV writer formats cells column by column, ``_CHUNK`` records at a time:
-a column whose values share one type takes that type's rule in one ``map``.
-A record's cells after the first are joined once, so a range record writes
-them once for all its rows.  A cell is quoted when it holds ``,``, ``"`` or
-``\n``: it is wrapped in ``"`` with each inner ``"`` doubled, and nothing
-else is quoted, a bare ``\r`` included.  That is ``csv.writer`` with
-``lineterminator="\n"`` on Python 3.10-3.12 (3.13's also quotes a bare
-``\r``, 3.10's refuses a NUL), and the bytes do not depend on the Python
-version.
+The CSV writer formats ``_CHUNK`` records at a time, by % templates.  A
+column whose values share a type of ``_TEMPLATES`` (float or int) enters the
+row's template as that type's template and is never formatted on its own;
+any other column becomes its cells, one rule in one ``map``, quoted where a
+cell needs it.  A chunk whose records stand for one row each is one % a row;
+in any other chunk a record's cells after the first are formatted once, so a
+range record writes them once for all its rows.  A cell is quoted when it
+holds ``,``, ``"`` or ``\n``: it is wrapped in ``"`` with each inner ``"``
+doubled, and nothing else is quoted, a bare ``\r`` included.  That is
+``csv.writer`` with ``lineterminator="\n"`` on Python 3.10-3.12 (3.13's
+also quotes a bare ``\r``, 3.10's refuses a NUL), and the bytes do not
+depend on the Python version.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
-from operator import attrgetter, itemgetter
+from itertools import accumulate, islice, repeat
+from operator import attrgetter, itemgetter, truediv
 from typing import TYPE_CHECKING, Any, Callable, Iterable, get_type_hints
 
 import numpy as np
@@ -69,8 +73,12 @@ _CELL_RULES = {
     bool: lambda flag: "true" if flag else "false",
     # a report's inputs
     dict: lambda inputs: ";".join([f"{key}={_cell(v)}" for key, v in inputs.items()]),
-    # lattice index triples
-    tuple: lambda indices: ";".join(["%s,%s,%s" % t for t in indices]),
+    # lattice index triples; a window of one triple, as nearly every window
+    # of a generic box, is written by one %, without a join
+    tuple: lambda indices: (
+        "%s,%s,%s" % indices[0] if len(indices) == 1
+        else ";".join(["%s,%s,%s" % t for t in indices])
+    ),
 }
 _CELL_RULES[np.bool_] = _CELL_RULES[bool]
 
@@ -79,19 +87,20 @@ def _json_value(value: Any) -> Any:
     return None if isinstance(value, float) and math.isnan(value) else value
 
 
-# The % template of a value type in an input_repr cell: the bytes of its
-# cell rule.  A value of any other type is written by its cell rule.
-_INPUT_TEMPLATES = {float: "%.17g", np.float64: "%.17g", int: "%d"}
+# The % template of a value type: the bytes of its cell rule, which never
+# need quoting.  An input_repr cell, and a row of the CSV writer, formats
+# values of these types by template; any other value by its cell rule.
+_TEMPLATES = {float: "%.17g", np.float64: "%.17g", int: "%d"}
 
 
 def _inputs_rule(keys: tuple, kinds: tuple) -> Callable[[tuple], str]:
     """The input_repr cell of the values of a dict with these keys and value
     types, by one % template."""
-    fmt = ";".join([f"{key}=".replace("%", "%%") + _INPUT_TEMPLATES.get(kind, "%s")
+    fmt = ";".join([f"{key}=".replace("%", "%%") + _TEMPLATES.get(kind, "%s")
                     for key, kind in zip(keys, kinds)])
-    if all(kind in _INPUT_TEMPLATES for kind in kinds):
+    if all(kind in _TEMPLATES for kind in kinds):
         return fmt.__mod__
-    rules = [kind not in _INPUT_TEMPLATES for kind in kinds]
+    rules = [kind not in _TEMPLATES for kind in kinds]
     return lambda values: fmt % tuple([_cell(v) if rule else v for v, rule in zip(values, rules)])
 
 
@@ -109,39 +118,67 @@ def _inputs_cells(column: list[dict]) -> list[str]:
     return cells
 
 
-def _column(values: list) -> list[str]:
-    """The CSV cells of one column, quoted where a cell needs it."""
+def _column(values: list) -> tuple[str, list]:
+    """One column of a chunk as (template, items) for the row template: a
+    column whose values share a type of ``_TEMPLATES`` is that template and
+    its values as they are; any other column is its cells, quoted where a
+    cell needs it, under "%s" (or under '"%s"', which quotes them)."""
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is dict:
+    if kind in _TEMPLATES:
+        return _TEMPLATES[kind], values
+    if kind is tuple:
+        cells = list(map(_CELL_RULES[tuple], values))
+        # A nonempty index cell always holds a comma and so is quoted, and
+        # an index never holds a quote: then the template quotes every cell
+        # in the row's one %, with no pass over the cells of its own.  An
+        # empty cell, or one with a quote, takes the rule below.
+        if "" not in cells and not any(map(str.__contains__, cells, repeat('"'))):
+            return '"%s"', cells
+    elif kind is dict:
         cells = _inputs_cells(values)
     else:
         cells = list(map(_CELL_RULES.get(kind, str) if kind else _cell, values))
     joined = "".join(cells)
     if '"' in joined:
-        return [
+        cells = [
             '"%s"' % c.replace('"', '""') if "," in c or '"' in c or "\n" in c else c
             for c in cells
         ]
-    if "," in joined or "\n" in joined:
-        # No quote to double: the spectrum's indices take this path.
-        return ['"%s"' % c if "," in c or "\n" in c else c for c in cells]
-    return cells
+    elif "," in joined or "\n" in joined:
+        cells = ['"%s"' % c if "," in c or "\n" in c else c for c in cells]
+    return "%s", cells
 
 
 def write_csv(stream, table: Table, records: Iterable) -> None:
-    """The CSV of ``records`` under ``table``, one ``stream.write`` per chunk."""
+    """The CSV of ``records`` under ``table``, one ``stream.write`` per chunk.
+
+    A chunk whose records stand for one row each, as a generic box's
+    spectrum, is formatted by one % a row, of the row template that joins
+    the templates of its columns.  In any other chunk each record's cells
+    after the first are formatted once, by the template of those columns,
+    and each of its rows puts its first cell before them.
+    """
     schema = table.schema
     first, *rest = (get for _, _, get in table.fields)
-    stream.write(",".join(_column(table.columns)) + "\n")
+    stream.write(",".join(_column(table.columns)[1]) + "\n")
     records = iter(records)
     while chunk := list(islice(records, _CHUNK)):
-        tails = map(",".join, zip(*[_column(list(map(get, chunk))) for get in rest]))
+        templates, columns = zip(*[_column(list(map(get, chunk))) for get in rest])
+        tail = ",".join(templates)
+        # A range stands for its rows; any other first value is one row.
         firsts = list(map(first, chunk))
-        # A range stands for its rows; any other first value is one cell.
-        heads = iter(_column([f for f in firsts if type(f) is not range]))
-        ks = [f if type(f) is range else (next(heads),) for f in firsts]
-        stream.write("".join([f"{schema},{k},{tail}\n" for r, tail in zip(ks, tails) for k in r]))
+        spans = [f if type(f) is range else (f,) for f in firsts]
+        if set(map(len, spans)) == {1}:
+            head, ks = _column(list(map(itemgetter(0), spans)))
+            rows = map(f"{schema},{head},{tail}\n".__mod__, zip(ks, *columns))
+        else:
+            head, heads = _column([f for f in firsts if type(f) is not range])
+            heads = map(head.__mod__, heads)
+            ks = [f if type(f) is range else (next(heads),) for f in firsts]
+            tails = map(tail.__mod__, zip(*columns))
+            rows = [f"{schema},{k},{t}\n" for r, t in zip(ks, tails) for k in r]
+        stream.write("".join(rows))
 
 
 def _field(column: str, get: Callable[[Any], Any] | str | None = None, key: str | None = None):
@@ -231,16 +268,26 @@ COUNT = Table(None, (
 
 
 def spectrum_records(points: list[SpectralPoint], k_max: int, is_cube: bool) -> list:
-    """The records of eigenvalues 1..k_max, one per spectral point."""
-    records = []
-    k = 1
-    for point in points:
-        value, indices = point.value, point.indices
-        over_pi2 = value / PI_SQUARED  # an exact integer on the unit cube
-        ks = range(k, min(k + len(indices), k_max + 1))
-        records.append((ks, value, round(over_pi2) if is_cube else over_pi2, len(indices), indices))
-        k = ks.stop
-    return records
+    """The records of eigenvalues 1..k_max, one per spectral point.
+
+    The records are zipped from columns, not built point by point: each
+    point's range of k, its value, the value over pi^2 (an exact integer on
+    the unit cube, written as one), its multiplicity and its indices.  A
+    point's range runs on from the point before for its multiplicity, cut
+    at k_max.
+    """
+    values = list(map(attrgetter("value"), points))
+    indices = list(map(attrgetter("indices"), points))
+    counts = list(map(len, indices))
+    over_pi2 = map(truediv, values, repeat(PI_SQUARED))
+    if is_cube:
+        over_pi2 = map(round, over_pi2)
+    # Each point's k runs on from the point before: bounds[i] is the first
+    # k of point i, cut at k_max + 1 (the bounds ascend).
+    bounds = list(accumulate(counts, initial=1))
+    cut = bisect_right(bounds, k_max + 1)
+    bounds[cut:] = repeat(k_max + 1, len(bounds) - cut)
+    return list(zip(map(range, bounds, bounds[1:]), values, over_pi2, counts, indices))
 
 
 write_optimize_csv = OPTIMIZE.write_csv

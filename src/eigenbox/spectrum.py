@@ -31,8 +31,11 @@ how many points the band may hold.  An empty band (lambda, lambda] is a
 count: the identity suite takes N of all its boxes from one such pass.
 ``spectrum_points`` sorts the band and groups it into spectral points
 ``_GROUP`` values at a time: two ``searchsorted`` calls give the chunk's
-window ends and starts, and its index triples become Python tuples in one
-call, so beside the band the grouping holds some 100 kB whatever k_max is.
+window ends and starts, its index triples become Python tuples in one
+call, and its points are made in one ``map``, a window of one triple taken
+as it is, with no sort; so beside the band the grouping holds some 100 kB
+whatever k_max is.  ``reporting.spectrum_records`` zips the points' columns
+into records, and the CSV writer formats them by % templates.
 """
 
 from __future__ import annotations
@@ -419,7 +422,9 @@ def _octant_bands(
     columns, or more than ``cap`` points in a band, raises
     :class:`ResourceLimitError` before any of that band's point arrays
     exists; which band of a batch refuses first can differ from band by
-    band, so callers redo a refused batch with ``_redone_alone``.
+    band, so callers redo a refused batch with ``_redone_alone``.  A pass
+    whose runs leave a band unclosed raises RuntimeError, a fault that no
+    caller redoes.
     """
     below, size, ncols = ([0] * len(bands) for _ in range(3))
     parts, done = [], 0
@@ -453,6 +458,9 @@ def _octant_bands(
         if done < len(bands):
             # The open band's columns, copied so that the closed ones can go.
             parts = [tuple(p[..., end:].copy() for p in (c12, count, col))]
+    if done < len(bands):
+        # Not a refusal: _redone_alone must not redo the batch band by band.
+        raise RuntimeError(f"internal error: the band pass closed {done} of {len(bands)} bands")
 
 
 def _redone_alone(items: Sequence, batch, alone) -> Iterator:
@@ -682,7 +690,11 @@ def spectrum_points(
     ``searchsorted`` call gives the window end of every value in the chunk;
     the chain of ends from the chunk's first point gives the points that start
     in it, and one more call gives their window starts.  The index triples of
-    the chunk's windows become Python tuples in one ``_indices`` call.
+    the chunk's windows become Python tuples in one ``_indices`` call, and
+    the chunk's points are made in one ``map``.  A window of one triple is
+    taken as it is; where every window of the chunk is one triple, its own
+    point's (as on a generic box), the windows are the triples in order.
+    Only a window of several triples is sorted.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -707,8 +719,16 @@ def spectrum_points(
         # window of the point before.
         lo = starts[0]
         tuples = _indices(triples.take(order[lo:head], axis=1))
-        for value, start, end in zip(firsts.tolist(), starts, [*heads[1:], head]):
-            points.append(SpectralPoint(value, tuple(sorted(tuples[start - lo:end - lo]))))
+        if starts == heads and head - lo == len(heads):
+            # Each window holds its own point's value alone.
+            windows = zip(tuples)
+        else:
+            windows = [
+                (tuples[start - lo],) if end - start == 1
+                else tuple(sorted(tuples[start - lo:end - lo]))
+                for start, end in zip(starts, [*heads[1:], head])
+            ]
+        points += map(SpectralPoint, firsts.tolist(), windows)
     return points
 
 

@@ -113,7 +113,7 @@ def identity_suite(
             float(b.t - b.octant_identity_residual()),
             exact=True,
         )
-        for (c, lam), b in zip(draws, bundles)
+        for (c, lam), b in zip(draws, bundles, strict=True)
     ]
 
 
@@ -162,7 +162,7 @@ def polya_suite(samples: int, seed: int = 0, k_max: int = 1000) -> list[BoundRep
             polya_lower_bound(k),
             point.value,
         )
-        for (c, k), point in zip(draws, points)
+        for (c, k), point in zip(draws, points, strict=True)
     ]
 
 

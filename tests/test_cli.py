@@ -63,6 +63,8 @@ class TestSpectrumCommand:
             ("spectrum_cube_k200.csv", ["--a1", "1", "--a2", "1", "--k", "200"]),
             ("spectrum_cube_k200.json",
              ["--a1", "1", "--a2", "1", "--k", "200", "--format", "json"]),
+            ("spectrum_0.7_0.9_k500.json",
+             ["--a1", "0.7", "--a2", "0.9", "--k", "500", "--format", "json"]),
         ],
     )
     def test_golden_bytes(self, capsys, golden, argv):

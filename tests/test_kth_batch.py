@@ -583,6 +583,27 @@ def test_a_packer_fault_fails_the_identity(modules, monkeypatch):
     assert not all(r.passed for r in suites.identity_suite(20, seed=5))
 
 
+def test_a_pass_that_closes_too_few_bands_raises(monkeypatch):
+    # A packer that loses the last piece of each run and closes only the
+    # bands before it: the band of the last lost piece is never yielded.
+    # Paired without strict=True, the identity suite would drop the boxes
+    # not yielded and pass the others (18 reports, all passing); a ValueError
+    # would be redone box by box, each box a run of one piece, where the
+    # fault does not bite.
+    real = spectrum._piece_runs
+
+    def faulty(bands, cap):
+        for run, _ in real(bands, cap):
+            yield run[:-1], run[-1][0]
+
+    monkeypatch.setattr(spectrum, "_piece_runs", faulty)
+    with pytest.raises(RuntimeError, match=r"closed \d+ of 20 bands") as error:
+        suites.identity_suite(20, seed=5)
+    assert type(error.value) is RuntimeError
+    with pytest.raises(RuntimeError, match="internal error"):
+        kth_eigenvalues(*zip(*polya_draws(20, 3)))
+
+
 def test_exact_reports_pass_only_at_zero_slack():
     assert BoundReport("x", {}, 5.0, 5.0, exact=True).passed
     assert not BoundReport("x", {}, 5.0, 6.0, exact=True).passed
