@@ -15,7 +15,6 @@ from .bounds import (
 )
 from .lattice import (
     CountBundle,
-    RemainderExponents,
     count_bundle,
     count_bundles,
     count_full,

@@ -1,6 +1,6 @@
 """Command-line surface: ``spectrum``, ``count``, ``optimize`` and ``verify``.
 
-Data goes to stdout (or --out); progress and commentary go to stderr.  Exit
+Data goes to stdout (or --out); progress and summaries go to stderr.  Exit
 codes: 0 success, 1 verification failure, 2 bad input, 3 resource cap or memory.
 """
 
@@ -9,8 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
-
-import numpy as np
+from itertools import chain
 
 from . import reporting, suites
 from .spectrum import (
@@ -151,20 +150,19 @@ def cmd_verify(args) -> int:
         print("error: --samples must be positive", file=sys.stderr)
         return EXIT_BAD_INPUT
     names = list(suites.SUITE_NAMES) if args.suite == "all" else [args.suite]
-    reports = []
-    for name in names:
-        reports.extend(suites.run_suite(name, args.samples, args.seed))
-        print(f"suite {name}: {args.samples} samples done", file=sys.stderr)
-    _emit(args, reporting.VERIFY, reports)
-    lam_grid = np.linspace(50.0, 5000.0, 40)
-    estimates = suites.remainder_constant_estimates(Cuboid(1.0, 1.0, 1.0), lam_grid)
-    print(
-        "commentary: empirical remainder scales on the unit cube: "
-        f"C~{estimates['c_hat']:.4g} (exponent beta={estimates['beta']:.6g}), "
-        f"D~{estimates['d_hat']:.4g} (exponent theta={estimates['theta']:.6g})",
-        file=sys.stderr,
-    )
-    failures = sum(1 for r in reports if not r.passed)
+    failures = 0
+
+    def chunks():
+        # Each chunk is counted as the writer takes it, and a suite's line
+        # goes to stderr when the writer has taken its last chunk.
+        nonlocal failures
+        for name in names:
+            for chunk in suites.suite_chunks(name, args.samples, args.seed):
+                failures += sum(not r.passed for r in chunk)
+                yield chunk
+            print(f"suite {name}: {args.samples} samples done", file=sys.stderr)
+
+    _emit(args, reporting.VERIFY, chain.from_iterable(chunks()))
     if failures:
         print(f"error: {failures} inequality violations", file=sys.stderr)
         return EXIT_VERIFY_FAIL

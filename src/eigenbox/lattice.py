@@ -125,17 +125,6 @@ class CountBundle:
         return self.n_from_decomposition() == self.n
 
 
-@dataclass(frozen=True)
-class RemainderExponents:
-    """Best known remainder exponents for the sphere and circle counts.
-
-    Recorded for reporting only; nothing here asserts them.
-    """
-
-    beta: float = 63.0 / 43.0
-    theta: float = 131.0 / 208.0
-
-
 # The (u, v) coordinate indices of the plane orthogonal to axis 1, 2 and 3.
 _PLANE_AXES = ((1, 2), (0, 2), (0, 1))
 
@@ -252,23 +241,17 @@ def _v_lines(qu: float, qv: float, lam: float, lam_eff: float) -> tuple[float, f
     return qv, qu, lam_eff, m
 
 
-def _plane_counts(pairs: Sequence[tuple[Cuboid, float]], axis: int) -> list[int]:
-    """``count_plane`` for each (cuboid, lam) of ``pairs``, in one line pass."""
-    axes, lines = [], []
-    for cuboid, lam in pairs:
-        lam_eff = _check_lambda(lam)
-        qu, qv = _axis_pairs(cuboid.inv_sq, axis)
-        lines.append(_v_lines(qu, qv, lam, lam_eff))
-        axes.append((_nmax_scalar(0.0, qu, lam_eff), _nmax_scalar(0.0, qv, lam_eff)))
-    # 2 f_u + 1 points on the u axis, f_v on each half of the v axis, 2 s off.
-    return [2 * f_u + 1 + 2 * (2 * s + f_v) for (f_u, f_v), s in zip(axes, _line_sums(lines))]
-
-
 def count_plane(cuboid: Cuboid, lam: float, axis: int) -> int:
     """Integer lattice points in the plane section of E(lam) through the
     origin orthogonal to ``axis``, summed over the lines of constant v (the
     transpose of the u lines of ``_quadrant_count``)."""
-    return _plane_counts([(cuboid, lam)], axis)[0]
+    lam_eff = _check_lambda(lam)
+    qu, qv = _axis_pairs(cuboid.inv_sq, axis)
+    lines = _v_lines(qu, qv, lam, lam_eff)
+    f_u, f_v = _nmax_scalar(0.0, qu, lam_eff), _nmax_scalar(0.0, qv, lam_eff)
+    (s,) = _line_sums([lines])
+    # 2 f_u + 1 points on the u axis, f_v on each half of the v axis, 2 s off.
+    return 2 * f_u + 1 + 2 * (2 * s + f_v)
 
 
 def _quadrant_count(qu: float, qv: float, lam_eff: float) -> int:

@@ -30,8 +30,9 @@ eigenvalue and its ``DEGENERACY_RTOL`` window; ``candidate_cap`` bounds
 how many points the band may hold.  An empty band (lambda, lambda] is a
 count: the identity suite takes N of all its boxes from one such pass.
 ``spectrum_points`` sorts the band and groups it into spectral points
-``_GROUP`` values at a time: two ``searchsorted`` calls give the chunk's
-window ends and starts, its index triples become Python tuples in one
+``_GROUP`` values at a time: one ``searchsorted`` call gives the chunk's
+window ends, a window running up from its point's first value and holding
+no value of another point, its index triples become Python tuples in one
 call, and its points are made in one ``map``, a window of one triple taken
 as it is, with no sort; so beside the band the grouping holds some 100 kB
 whatever k_max is.  ``reporting.spectrum_records`` zips the points' columns
@@ -628,7 +629,10 @@ def _indices(triples: np.ndarray) -> list[tuple[int, int, int]]:
 
 
 def _point(values: np.ndarray, triples: np.ndarray, value: float) -> SpectralPoint:
-    """``value`` with every triple of the band within DEGENERACY_RTOL of it."""
+    """``value`` with every triple of the band within DEGENERACY_RTOL of it,
+    below it as well as above.  ``spectrum_points`` groups up from each
+    point's first value instead, so the two can group a level split into
+    values about DEGENERACY_RTOL apart differently."""
     near = values >= value * (1.0 - DEGENERACY_RTOL)
     near &= values <= value * (1.0 + DEGENERACY_RTOL)
     return SpectralPoint(value=value, indices=tuple(sorted(_indices(triples.compress(near, axis=1)))))
@@ -683,18 +687,21 @@ def spectrum_points(
 
     Points are sorted ascending; their multiplicities sum to at least
     ``k_max``.  Near-degenerate values merge per ``DEGENERACY_RTOL``: each
-    point starts at the lowest value not yet covered, and holds every value
-    within DEGENERACY_RTOL of it, also values that an earlier point holds.
+    point starts at the lowest value not yet covered, and holds the values
+    from it up to it times 1 + DEGENERACY_RTOL, so no value is in two
+    points.  ``kth_eigenvalue`` keeps its symmetric window (``_point``), so
+    where a level splits into values about DEGENERACY_RTOL apart the two
+    can group it differently.
 
     The sorted band is grouped ``_GROUP`` values at a time.  One
     ``searchsorted`` call gives the window end of every value in the chunk;
     the chain of ends from the chunk's first point gives the points that start
-    in it, and one more call gives their window starts.  The index triples of
-    the chunk's windows become Python tuples in one ``_indices`` call, and
-    the chunk's points are made in one ``map``.  A window of one triple is
-    taken as it is; where every window of the chunk is one triple, its own
-    point's (as on a generic box), the windows are the triples in order.
-    Only a window of several triples is sorted.
+    in it, each window running from its point's first value to the next
+    point's.  The index triples of the chunk's windows become Python tuples
+    in one ``_indices`` call, and the chunk's points are made in one
+    ``map``.  A window of one triple is taken as it is; where every window
+    of the chunk is one triple (as on a generic box), the windows are the
+    triples in order.  Only a window of several triples is sorted.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -713,22 +720,17 @@ def spectrum_points(
         while head < stop:
             heads.append(head)
             head = ends[head - base]
-        firsts = values[heads]
-        starts = np.searchsorted(values, firsts * (1.0 - DEGENERACY_RTOL), "left").tolist()
-        # A window may start before its point's first value, inside the
-        # window of the point before.
-        lo = starts[0]
-        tuples = _indices(triples.take(order[lo:head], axis=1))
-        if starts == heads and head - lo == len(heads):
+        tuples = _indices(triples.take(order[base:head], axis=1))
+        if head - base == len(heads):
             # Each window holds its own point's value alone.
             windows = zip(tuples)
         else:
             windows = [
-                (tuples[start - lo],) if end - start == 1
-                else tuple(sorted(tuples[start - lo:end - lo]))
-                for start, end in zip(starts, [*heads[1:], head])
+                (tuples[start - base],) if end - start == 1
+                else tuple(sorted(tuples[start - base:end - base]))
+                for start, end in zip(heads, [*heads[1:], head])
             ]
-        points += map(SpectralPoint, firsts.tolist(), windows)
+        points += map(SpectralPoint, values[heads].tolist(), windows)
     return points
 
 

@@ -243,13 +243,6 @@ class TestSuites:
     def test_polya_suite_clean(self):
         assert all(r.passed for r in suites.polya_suite(40, seed=5, k_max=300))
 
-    def test_remainder_estimates_descriptive(self):
-        est = suites.remainder_constant_estimates(UNIT_CUBE, [100.0, 500.0, 2500.0])
-        assert est["c_hat"] > 0
-        assert est["d_hat"] > 0
-        assert est["beta"] == pytest.approx(63 / 43)
-        assert est["theta"] == pytest.approx(131 / 208)
-
     def test_run_suite_dispatch(self):
         assert suites.run_suite("lemma31", 10, 0)
         with pytest.raises(ValueError):

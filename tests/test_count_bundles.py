@@ -249,29 +249,3 @@ def test_a_fault_in_one_box_breaks_only_its_identities(monkeypatch):
     got = batched(pairs)
     assert [b.consistent() for b in got] == [i != hit for i in range(len(pairs))]
     assert got[hit].plane_identity_residuals() != (0, 0, 0)
-
-
-def ref_remainder_constant_estimates(cuboid, lam_values, exponents=lattice.RemainderExponents()):
-    c_hat = 0.0
-    d_hat = 0.0
-    a2a3 = cuboid.a2 * cuboid.a3
-    for lam in lam_values:
-        if lam <= 0.0:
-            continue
-        t = ref_count_full(cuboid, lam)
-        main3 = 4.0 / (3.0 * PI_SQUARED) * lam**1.5
-        c_hat = max(c_hat, abs(t - main3) / lam ** (exponents.beta / 2.0))
-        t1 = ref_count_plane(cuboid, lam, 1)
-        main2 = a2a3 / math.pi * lam
-        d_hat = max(d_hat, abs(t1 - main2) / lam ** (exponents.theta / 2.0))
-    return {"c_hat": c_hat, "d_hat": d_hat, "beta": exponents.beta, "theta": exponents.theta}
-
-
-@pytest.mark.parametrize("box", [UNIT_CUBE, Cuboid.from_sides(0.7, 0.9), FLAT[1]])
-def test_remainder_estimates_equal_the_per_lambda_reference(box):
-    grid = np.linspace(50.0, 5000.0, 40)
-    assert suites.remainder_constant_estimates(box, grid) == ref_remainder_constant_estimates(box, grid)
-    lams = [0.0, -3.0, 7.5, 400.0]
-    assert suites.remainder_constant_estimates(box, lams) == ref_remainder_constant_estimates(box, lams)
-    with pytest.raises(ValueError):
-        suites.remainder_constant_estimates(box, [10.0, math.nan])

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eigenbox.lattice import (
-    RemainderExponents,
     count_bundle,
     count_full,
     count_plane,
@@ -291,10 +290,3 @@ class TestCubeMultiplicity:
             )
             assert cube_multiplicity(m) <= quadrant
             assert quadrant <= math.pi * m / 4.0
-
-
-class TestRemainderExponents:
-    def test_defaults(self):
-        exps = RemainderExponents()
-        assert exps.beta == pytest.approx(63.0 / 43.0)
-        assert exps.theta == pytest.approx(131.0 / 208.0)

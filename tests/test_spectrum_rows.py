@@ -9,7 +9,8 @@ hold ``,``, ``"`` or ``\\n`` here (no cell holds a bare ``\\r``), so the CSV
 reference does not rest on the writer under test.  Cases: the boxes of the
 spectrum benchmark workload, spectrum lengths around the chunk size, the
 cube (long multiplicity windows), near-degenerate perturbed cubes (windows
-that start inside the point before) and a k_max that cuts a window.
+that chain through a split level, none holding a value of another) and a
+k_max that cuts a window.
 """
 
 import csv
@@ -48,12 +49,9 @@ def ref_spectrum_points(cuboid, k_max):
         while head < stop:
             heads.append(head)
             head = ends[head - base]
-        firsts = values[heads]
-        starts = np.searchsorted(values, firsts * (1.0 - DEGENERACY_RTOL), "left").tolist()
-        lo = starts[0]
-        tuples = list(zip(*triples.take(order[lo:head], axis=1).tolist()))
-        for value, start, end in zip(firsts.tolist(), starts, [*heads[1:], head]):
-            points.append(SpectralPoint(value, tuple(sorted(tuples[start - lo:end - lo]))))
+        tuples = list(zip(*triples.take(order[base:head], axis=1).tolist()))
+        for value, start, end in zip(values[heads].tolist(), heads, [*heads[1:], head]):
+            points.append(SpectralPoint(value, tuple(sorted(tuples[start - base:end - base]))))
     return points
 
 
@@ -126,12 +124,12 @@ def test_cube_at_16000_equals_reference():
 @pytest.mark.parametrize("eps", [1e-10, 4e-10, 9e-10, 2e-9])
 def test_perturbed_cubes_equal_reference(eps):
     # Sides 1/(1+eps), 1, 1+eps: windows chain through a split cube level,
-    # and a window can start inside the point before.
+    # and none holds a value of the point before.
     cuboid = Cuboid.from_sides(1.0, 1.0 + eps)
     for k_max in (500, 3000):
         points, _ = assert_same_spectrum(cuboid, k_max)
         shared = sum(bool(set(p.indices) & set(q.indices)) for p, q in zip(points, points[1:]))
-        assert (shared > 0) == (eps > 1e-10)
+        assert shared == 0
 
 
 @pytest.mark.parametrize("k_max", [2, 3, 5, 200])
