@@ -11,9 +11,10 @@ Every count walks the octant in the pieces of ``_octant_pieces``: a block is
 a run of consecutive i1 slices, at most ``_BLOCK`` (i1, i2) columns, whose
 i3 points one vector kernel call counts, so numpy's dispatch is paid per
 block rather than per slice and memory stays flat in lambda.
-``counts_upto`` counts many lambda in one walk, below the largest: its
-kernel call counts each piece at every lambda, and ``count_upto`` is its
-one-lambda call.  The unit cube takes the same path, here and in
+``counts_upto`` counts many lambda in one walk, below the largest: it
+trims each piece to the columns that reach the largest lambda, its kernel
+call counts them at every lambda, and ``count_upto`` is its one-lambda call,
+at a scalar edge.  The unit cube takes the same path, here and in
 :mod:`eigenbox.lattice`: its sums are exact integers below 2^53, so the
 predicate gives the integer count.  Only ``cube_spectrum_table`` stays
 integer.  ``kth_eigenvalues`` (``kth_eigenvalue`` is its one-box call) and
@@ -146,7 +147,7 @@ class Cuboid:
 UNIT_CUBE = Cuboid(1.0, 1.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralPoint:
     """One eigenvalue with every lattice triple attaining it."""
 
@@ -207,28 +208,46 @@ def _nmax_vec(c: np.ndarray, q: float | np.ndarray, lam_eff: float | np.ndarray)
     ``lam_eff`` arrays.  Callers take sums of the counts in int64, bounded
     by the largest guess times len(c) below, whatever the order of c and of
     the rows.  ``_runs`` packs a pass's pieces, a block or the pieces of
-    several bands or line families, into calls within that bound."""
-    guess = np.sqrt(np.maximum((lam_eff / PI_SQUARED - c) / q, 0.0))
-    if guess.max() * len(c) > _NMAX_LIMIT:
+    several bands or line families, into calls within that bound.
+
+    The counts are float64, in place in one buffer, until one int64
+    conversion at the end.  An integer below 2^53 is exact in float64, so
+    each entry sees the same float64 operations as with int64 counts, some
+    with commuted operands, and gets the same count."""
+    x = lam_eff / PI_SQUARED - c
+    x /= q
+    np.maximum(x, 0.0, out=x)
+    np.sqrt(x, out=x)
+    if x.max() * len(c) > _NMAX_LIMIT:
         raise _unresolved(lam_eff)
-    g = guess.astype(np.int64)
+    np.floor(x, out=x)
+    u = np.empty_like(x)
     for _ in range(_MAX_STEPS):
-        t = (g + 1).astype(np.float64)
-        ok = PI_SQUARED * (c + (t * t) * q) <= lam_eff
+        np.add(x, 1.0, out=u)
+        u *= u
+        ok = _scaled(u, c, q) <= lam_eff
         if not np.count_nonzero(ok):
             break
-        g += ok.astype(np.int64)
+        x += ok
     else:
         raise _unresolved(lam_eff)
     for _ in range(_MAX_STEPS):
-        t = g.astype(np.float64)
-        bad = (g > 0) & (PI_SQUARED * (c + (t * t) * q) > lam_eff)
+        bad = _scaled(np.multiply(x, x, out=u), c, q) > lam_eff
+        bad &= x > 0.0
         if not np.count_nonzero(bad):
             break
-        g -= bad.astype(np.int64)
+        x -= bad
     else:
         raise _unresolved(lam_eff)
-    return g
+    return x.astype(np.int64)
+
+
+def _scaled(u: np.ndarray, c: np.ndarray, q: float | np.ndarray) -> np.ndarray:
+    """pi^2 * (c + u*q) in place in ``u``, u a squared count."""
+    u *= q
+    u += c
+    u *= PI_SQUARED
+    return u
 
 
 def _block_columns(c0: float, q: float, lam_eff: float) -> int:
@@ -500,24 +519,32 @@ def counts_upto(cuboid: Cuboid, lams: Sequence[float]) -> list[int]:
     """``count_upto`` at every lambda of ``lams``, in their order.
 
     One walk of the octant's pieces below the largest lambda counts them
-    all: one ``_nmax_vec`` call per piece counts its columns at the (m, 1)
-    column of edges, in the order of ``lams``, and sums each row.  That call
+    all.  A piece drops its columns whose i3 = 1 point lies above the
+    largest edge, which count 0 at every edge; one ``_nmax_vec`` call counts
+    the rest at the (m, 1) column of edges, in the order of ``lams``, and
+    sums each row, or at a scalar edge when there is one lambda.  That call
     holds len(lams) rows of up to ``_BLOCK`` counts, so its memory grows
     with the number of lambda.
     """
     for lam in lams:
         if lam < 0.0 or not math.isfinite(lam):
             raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    edges = np.array([[lam] for lam in lams]) * (1.0 + COUNT_EPS)
+    edges = np.array(lams, dtype=np.float64) * (1.0 + COUNT_EPS)
     q1, q2, q3 = cuboid.inv_sq
     counts = [0] * len(lams)
     top = float(edges.max(initial=0.0))
+    # One lambda takes a scalar edge, so the kernel does not broadcast in 2-D.
+    edge = edges[:, None] if len(lams) > 1 else top
     for i1, rows, lo, hi in _octant_pieces(cuboid.inv_sq, top, DEFAULT_CANDIDATE_CAP):
         t1 = np.arange(i1, i1 + rows, dtype=np.float64)
         t2 = np.arange(lo, hi, dtype=np.float64)
-        c = (((t1 * t1) * q1)[:, None] + (t2 * t2) * q2).ravel()
-        sums = _nmax_vec(c, q3, edges).sum(axis=1).tolist()
-        counts = [t + s for t, s in zip(counts, sums)]
+        c = ((t1 * t1) * q1)[:, None] + (t2 * t2) * q2
+        # A column whose i3 = 1 point lies above the top edge counts 0 at
+        # every edge; c comes out flat, row by row.
+        c = c[(c + q3) * PI_SQUARED <= top]
+        if len(c):
+            sums = np.atleast_1d(_nmax_vec(c, q3, edge).sum(axis=-1)).tolist()
+            counts = [t + s for t, s in zip(counts, sums)]
     return counts
 
 
