@@ -68,10 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, table: reporting.Table, records, default: str = "csv") -> None:
-    """Write ``records`` in the chosen format to --out or stdout; CSV streams."""
+    """Write ``records`` in the chosen format to --out or stdout; both formats
+    stream."""
     with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as handle:
         if (args.format or default) == "json":
-            handle.write(table.json(records) + "\n")
+            table.write_json(handle, records)
+            handle.write("\n")
         else:
             table.write_csv(handle, records)
 

@@ -10,8 +10,8 @@ The signed counters here share the membership predicate of
 is an exact integer identity between independently enumerated counts.
 Every box, the unit cube included, takes the same float counters: the
 cube's sums are exact integers below 2^53 and pi^2 * float(s) is monotone
-in s, so its counts are the integer counts.  Only ``cube_spectrum_table``
-in :mod:`eigenbox.spectrum` still counts the cube in integer arithmetic.
+in s, so its counts are the integer counts.  Only ``_cube_levels`` in
+:mod:`eigenbox.spectrum` still counts the cube in integer arithmetic.
 
 ``count_bundles`` counts many boxes at once, as the identity suite of
 ``verify`` does: the six line families (T_x, T+) of all boxes in one ragged

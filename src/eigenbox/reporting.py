@@ -9,18 +9,20 @@ every CSV row and at the top of every JSON document, and emit rows in a fixed
 order with a fixed line terminator, which makes output byte-identical across
 runs and worker counts.
 
-The CSV writer formats ``_CHUNK`` records at a time, by % templates.  A
-column whose values share a type of ``_TEMPLATES`` (float or int) enters the
-row's template as that type's template and is never formatted on its own;
-any other column becomes its cells, one rule in one ``map``, quoted where a
-cell needs it.  A chunk whose records stand for one row each is one % a row;
-in any other chunk a record's cells after the first are formatted once, so a
-range record writes them once for all its rows.  A cell is quoted when it
-holds ``,``, ``"`` or ``\n``: it is wrapped in ``"`` with each inner ``"``
-doubled, and nothing else is quoted, a bare ``\r`` included.  That is
-``csv.writer`` with ``lineterminator="\n"`` on Python 3.10-3.12 (3.13's
-also quotes a bare ``\r``, 3.10's refuses a NUL), and the bytes do not
-depend on the Python version.
+Both writers stream.  The JSON writer dumps ``_CHUNK`` entries at a time and
+splices them into the document, in the bytes of one ``json.dumps(document,
+indent=2)``.  The CSV writer formats ``_CHUNK`` records at a time, by %
+templates.  A column whose values share a type of ``_TEMPLATES`` (float or
+int) enters the row's template as that type's template and is never
+formatted on its own; any other column becomes its cells, one rule in one
+``map``, quoted where a cell needs it.  A chunk whose records stand for one
+row each is one % a row; in any other chunk a record's cells after the first
+are formatted once, so a range record writes them once for all its rows.  A
+cell is quoted when it holds ``,``, ``"`` or ``\n``: it is wrapped in ``"``
+with each inner ``"`` doubled, and nothing else is quoted, a bare ``\r``
+included.  That is ``csv.writer`` with ``lineterminator="\n"`` on Python
+3.10-3.12 (3.13's also quotes a bare ``\r``, 3.10's refuses a NUL), and the
+bytes do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
 from operator import attrgetter, itemgetter, truediv
-from typing import TYPE_CHECKING, Any, Callable, Iterable, get_type_hints
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, get_type_hints
 
 import numpy as np
 
@@ -44,8 +46,8 @@ if TYPE_CHECKING:
 # bound since version 2.
 SCHEMA_VERSION = 1
 
-# Records formatted per pass of the CSV writer, which bounds its memory
-# whatever the number of records.
+# Records formatted per pass of the CSV writer, and entries per dump of the
+# JSON writer, which bounds their memory whatever the number of records.
 _CHUNK = 1024
 
 
@@ -71,8 +73,8 @@ _CELL_RULES = {
     float: fmt_float,
     np.float64: fmt_float,
     bool: lambda flag: "true" if flag else "false",
-    # a report's inputs
-    dict: lambda inputs: ";".join([f"{key}={_cell(v)}" for key, v in inputs.items()]),
+    # a report's inputs: its input_repr cell
+    dict: lambda inputs: _inputs_cells([inputs])[0],
     # lattice index triples; a window of one triple, as nearly every window
     # of a generic box, is written by one %, without a join
     tuple: lambda indices: (
@@ -105,8 +107,9 @@ def _inputs_rule(keys: tuple, kinds: tuple) -> Callable[[tuple], str]:
 
 
 def _inputs_cells(column: list[dict]) -> list[str]:
-    """``_CELL_RULES[dict]`` for each dict of ``column``, with one template
-    per signature (keys, value types)."""
+    """The input_repr cell of each dict of ``column``: its ``key=cell``
+    pairs joined by ``;``, by one % template per signature (keys, value
+    types)."""
     rules, cells = {}, []
     for inputs in column:
         values = tuple(inputs.values())
@@ -193,7 +196,10 @@ class Table:
     ``top`` is None for a document that holds one record at its top level.
     A ``range`` in the first field stands for consecutive rows that share
     every other field; the spectrum numbers its eigenvalues that way.
-    ``schema`` is the ``schema_version`` the table writes.
+    ``schema`` is the ``schema_version`` the table writes.  Both
+    ``write_csv`` and ``write_json`` take the records a chunk at a time, so
+    their memory does not grow with the number of records; ``csv`` and
+    ``json`` return what they write.
     """
 
     top: str | None
@@ -213,20 +219,41 @@ class Table:
         return out.getvalue()
 
     def json(self, records: Iterable) -> str:
-        import json
+        out = io.StringIO()
+        self.write_json(out, records)
+        return out.getvalue()
 
+    def _entries(self, records: Iterable) -> Iterator[dict]:
+        """The JSON entry of each row, a range record giving one per k."""
         (_, first_key, first), *rest = self.fields
-        entries = []
         for record in records:
             shared = {key: _json_value(get(record)) for _, key, get in rest}
             ks = first(record)
             for k in ks if isinstance(ks, range) else [_json_value(ks)]:
-                entries.append({first_key: k, **shared})
+                yield {first_key: k, **shared}
+
+    def write_json(self, stream, records: Iterable) -> None:
+        """The JSON document of ``records``, the bytes of one
+        ``json.dumps(document, indent=2)``, written ``_CHUNK`` entries at a
+        time: a chunk's entries are dumped as one list, which loses its
+        brackets and is indented one level further."""
+        import json
+
+        entries = self._entries(records)
         if self.top is None:
-            (payload,) = entries
-        else:
-            payload = {self.top: entries}
-        return json.dumps({"schema_version": self.schema, **payload}, indent=2)
+            (entry,) = entries
+            stream.write(json.dumps({"schema_version": self.schema, **entry}, indent=2))
+            return
+        empty = json.dumps({"schema_version": self.schema, self.top: []}, indent=2)
+        head, tail = empty.rsplit("[]", 1)
+        stream.write(head + "[")
+        sep = ""
+        while chunk := list(islice(entries, _CHUNK)):
+            # "[\n  {...},\n  {...}\n]" less "[" and "\n]", one level in;
+            # json escapes a newline in a string, so each "\n" starts a line
+            stream.write(sep + json.dumps(chunk, indent=2)[1:-2].replace("\n", "\n  "))
+            sep = ","
+        stream.write(("\n  ]" if sep else "]") + tail)
 
 
 def _side(i: int) -> Callable[[OptimalRecord], float]:

@@ -16,20 +16,20 @@ trims each piece to the columns that reach the largest lambda, its kernel
 call counts them at every lambda, and ``count_upto`` is its one-lambda call,
 at a scalar edge.  The unit cube takes the same path, here and in
 :mod:`eigenbox.lattice`: its sums are exact integers below 2^53, so the
-predicate gives the integer count.  Only ``cube_spectrum_table`` stays
-integer.  ``kth_eigenvalues`` (``kth_eigenvalue`` is its one-box call) and
-``spectrum_points`` go through one band pass, ``_octant_bands``, which
-counts each column's i3 points at both edges of a band (lo, hi] and returns
-the band's eigenvalues with their index triples.  One piece counter,
-``_count_ragged``, counts every band piece: ``_runs``, the packer of the
-lattice passes too, packs the pieces of all bands, one band or many, in
-band order into runs of at most ``_BLOCK`` entries, one call a run, so
-``kth_eigenvalues`` pays numpy's dispatch per run rather than per box, and
-a big band spans runs.  The band sits around the two-term Weyl guess for
-lambda_k (from 0 for a spectrum) and widens until it holds the k-th
-eigenvalue and its ``DEGENERACY_RTOL`` window; ``candidate_cap`` bounds
-how many points the band may hold.  An empty band (lambda, lambda] is a
-count: the identity suite takes N of all its boxes from one such pass.
+predicate gives the integer count.  Only the cube's level counts,
+``_cube_levels``, stay integer.  ``kth_eigenvalues`` (``kth_eigenvalue`` is
+its one-box call) and ``spectrum_points`` go through one band pass,
+``_octant_bands``, which counts each column's i3 points at both edges of a
+band (lo, hi] and returns the band's eigenvalues with their index triples.
+One piece counter, ``_count_ragged``, counts every band piece: ``_runs``,
+the packer of the lattice passes too, packs the pieces of all bands, one
+band or many, in band order into runs of at most ``_BLOCK`` entries, one
+call a run, so ``kth_eigenvalues`` pays numpy's dispatch per run rather
+than per box, and a big band spans runs.  The band sits around the two-term
+Weyl guess for lambda_k (from 0 for a spectrum) and widens until it holds
+the k-th eigenvalue and its ``DEGENERACY_RTOL`` window; ``candidate_cap``
+bounds how many points the band may hold.  An empty band (lambda, lambda]
+is a count: the identity suite takes N of all its boxes from one such pass.
 ``spectrum_points`` sorts the band and groups it into spectral points
 ``_GROUP`` values at a time: one ``searchsorted`` call gives the chunk's
 window ends, a window running up from its point's first value and holding
@@ -761,12 +761,12 @@ def spectrum_points(
     return points
 
 
-def cube_spectrum_table(k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-k data for the unit cube: (nu_k/pi^2, multiplicity, N(nu_k)).
-
-    Arrays are 1-based on k (index 0 unused) and run up to ``k_max``.  All
-    three are exact integers.
-    """
+def _cube_levels(k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit cube's level counts up to a level m with N(pi^2 m) >= k_max:
+    (hist, cum), hist[s] the positive triples with i1^2+i2^2+i3^2 == s and
+    cum its running sum, N(pi^2 s).  nu_k is pi^2 times the first s with
+    cum[s] >= k; m doubles from 8, so the arrays hold O(k_max^(2/3))
+    entries."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     m = 8
@@ -774,10 +774,19 @@ def cube_spectrum_table(k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         hist = _cube_octant_hist(m)
         cum = np.cumsum(hist)
         if cum[-1] >= k_max:
-            break
+            return hist, cum
         m *= 2
-    ks = np.arange(1, k_max + 1)
-    s = np.searchsorted(cum, ks)
+
+
+def cube_spectrum_table(k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-k data for the unit cube: (nu_k/pi^2, multiplicity, N(nu_k)).
+
+    Arrays are 1-based on k (index 0 unused) and run up to ``k_max``.  All
+    three are exact integers.  They are ``_cube_levels`` expanded per k, in
+    O(k_max) memory.
+    """
+    hist, cum = _cube_levels(k_max)
+    s = np.searchsorted(cum, np.arange(1, k_max + 1))
     table_m = np.concatenate(([0], s))
     table_theta = np.concatenate(([0], hist[s]))
     table_count = np.concatenate(([0], cum[s]))

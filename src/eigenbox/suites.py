@@ -1,15 +1,15 @@
 """Batch verification suites: seeded sampling of the named inequalities and
 exact identities, producing :class:`~eigenbox.bounds.BoundReport` rows.
 
-A suite makes its reports about ``CHUNK`` at a time: ``suite_chunks``
-yields them, and ``verify`` writes and counts each chunk before the next is
-made, so its memory does not grow with the number of samples.  A sampled
-suite's chunks draw in turn from one ``random.Random``, so its draws and
-reports do not depend on the chunk size.  ``identity`` counts a chunk's
-boxes in one ``count_bundles`` call, ``polya`` finds a chunk's eigenvalues
-in one ``kth_eigenvalues`` call, and every k of ``cube-chain`` reads one
-``cube_spectrum_table``.  ``run_suite`` and the ``*_suite`` functions join
-the chunks in one list.
+Each suite is one generator of (samples, seed, its own parameters) that
+yields its reports about ``CHUNK`` at a time, so ``verify`` writes and
+counts each chunk before the next is made and its memory does not grow with
+the number of samples.  A sampled suite's chunks draw in turn from one
+``random.Random(seed)``, so its draws and reports do not depend on the chunk
+size.  ``identity`` counts a chunk's boxes in one ``count_bundles`` call,
+``polya`` finds a chunk's eigenvalues in one ``kth_eigenvalues`` call, and
+``cube-chain`` reads the unit cube's levels, a chunk of k at a time.
+``run_suite`` and the ``*_suite`` functions join the chunks in one list.
 
 These back the ``verify`` CLI subcommand and the acceptance tests.
 """
@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
+
+import numpy as np
 
 from . import lattice
 from .bounds import (
@@ -37,8 +39,8 @@ from .bounds import (
 from .spectrum import (
     PI_SQUARED,
     Cuboid,
+    _cube_levels,
     counts_upto,
-    cube_spectrum_table,
     kth_eigenvalues,
 )
 
@@ -52,10 +54,10 @@ def sample_cuboid(rng: random.Random) -> Cuboid:
     return Cuboid.from_sides(a1, a2)
 
 
-def _sample_query(rng: random.Random, n_choices: Iterable[int]) -> BoundQuery:
+def _sample_query(rng: random.Random, n_choices: Sequence[int]) -> BoundQuery:
     y = rng.uniform(0.0, 1.0e6)
     a = 10.0 ** rng.uniform(-2.0, 2.0)
-    n = rng.choice(list(n_choices))
+    n = rng.choice(n_choices)
     return BoundQuery(y=y, a=a, n=n)
 
 
@@ -65,64 +67,73 @@ CHUNK = 1024
 _Chunks = Iterator[list[BoundReport]]
 
 
-def _chunks(reports: Callable[[int], list[BoundReport]], draws: int, per_draw: int = 1) -> _Chunks:
-    """``reports(n)`` on consecutive n of CHUNK // per_draw draws, the last n
-    what is left, that sum to ``draws``."""
+def _sizes(draws: int, per_draw: int = 1) -> Iterator[int]:
+    """Chunk sizes of CHUNK // per_draw draws, the last what is left, that
+    sum to ``draws``."""
     step = max(1, CHUNK // per_draw)
-    for done in range(0, draws, step):
-        yield reports(min(step, draws - done))
+    return (min(step, draws - done) for done in range(0, draws, step))
 
 
-def _lemma_chunks(name: str, n_choices: Iterable[int], rhs: Callable[[BoundQuery], float],
-                  samples: int, seed: int = 0) -> _Chunks:
+def _lemma(name: str, n_choices: Sequence[int], rhs: Callable[[BoundQuery], float],
+           samples: int, seed: int = 0) -> _Chunks:
     rng = random.Random(seed)
-
-    def reports(draws: int) -> list[BoundReport]:
-        queries = [_sample_query(rng, n_choices) for _ in range(draws)]
-        return [BoundReport(name, {"y": q.y, "a": q.a, "n": q.n}, lemma_sum(q), rhs(q))
-                for q in queries]
-
-    return _chunks(reports, samples)
+    for n in _sizes(samples):
+        queries = [_sample_query(rng, n_choices) for _ in range(n)]
+        yield [BoundReport(name, {"y": q.y, "a": q.a, "n": q.n}, lemma_sum(q), rhs(q))
+               for q in queries]
 
 
-def _lemma41_chunks(n_cuboids: int, seed: int = 0, lam_per_cuboid: int = 10,
-                    lam_max: float = 1.0e4) -> _Chunks:
+def _lemma41(n_cuboids: int, seed: int = 0, lam_per_cuboid: int = 10,
+             lam_max: float = 1.0e4) -> _Chunks:
+    """Lemma 4.1's bound on N(lam) at ``lam_per_cuboid`` random lam per
+    sampled box, each box counted at all its lam in one walk."""
     rng = random.Random(seed)
-
-    def reports(boxes: int) -> list[BoundReport]:
+    for n in _sizes(n_cuboids, lam_per_cuboid):
         out = []
-        for _ in range(boxes):
+        for _ in range(n):
             c = sample_cuboid(rng)
             lams = [rng.uniform(0.0, lam_max) for _ in range(lam_per_cuboid)]
             out += [BoundReport("lemma41", {"a1": c.a1, "a2": c.a2, "a3": c.a3, "lam": lam},
-                                float(n), lemma41_rhs(c, lam))
-                    for lam, n in zip(lams, counts_upto(c, lams))]
-        return out
-
-    return _chunks(reports, n_cuboids, lam_per_cuboid)
+                                float(count), lemma41_rhs(c, lam))
+                    for lam, count in zip(lams, counts_upto(c, lams))]
+        yield out
 
 
-def _identity_chunks(samples: int, seed: int = 0, lam_max: float = 1.0e4) -> _Chunks:
+def _identity(samples: int, seed: int = 0, lam_max: float = 1.0e4) -> _Chunks:
+    """Exact symmetry decomposition T = 8N + 4*sum T+ + 2*sum floor + 1.
+
+    lhs is T from the full-lattice counter, rhs the reassembled right side;
+    any nonzero residual is a bug, so a report passes only with slack
+    exactly 0 (T is an integer below 2^53, exact in float).  Each chunk's
+    boxes are drawn first and counted in one ``count_bundles`` call.
+    """
     rng = random.Random(seed)
-
-    def reports(n: int) -> list[BoundReport]:
+    for n in _sizes(samples):
         draws = [(sample_cuboid(rng), rng.uniform(0.0, lam_max)) for _ in range(n)]
         bundles = lattice.count_bundles([c for c, _ in draws], [lam for _, lam in draws])
-        return [BoundReport("identity", {"a1": c.a1, "a2": c.a2, "a3": c.a3, "lam": lam},
-                            float(b.t), float(b.t - b.octant_identity_residual()), exact=True)
-                for (c, lam), b in zip(draws, bundles, strict=True)]
-
-    return _chunks(reports, samples)
+        yield [BoundReport("identity", {"a1": c.a1, "a2": c.a2, "a3": c.a3, "lam": lam},
+                           float(b.t), float(b.t - b.octant_identity_residual()), exact=True)
+               for (c, lam), b in zip(draws, bundles, strict=True)]
 
 
-def _cube_chain_chunks(k_max: int) -> _Chunks:
-    table_m, table_theta, table_count = cube_spectrum_table(k_max)
-    ks = iter(range(1, k_max + 1))
+def _cube_chain(k_max: int, seed: int = 0) -> _Chunks:
+    """Unit-cube counting chain for every k <= k_max; it draws nothing, so
+    ``seed`` is unused.
 
-    def reports(n: int) -> list[BoundReport]:
+    Per k: k <= N(nu_k) <= k + Theta_k - 1 (exact integers), the Gauss octant
+    lower bound on N(nu_k), and the eigenvalue growth bound on nu_k^{3/2}.
+    A chunk's levels m = nu_k/pi^2 are found in the cube's level counts by
+    one ``searchsorted``, so no per-k table is held.
+    """
+    hist, cum = _cube_levels(k_max)
+    first = 1
+    for n in _sizes(k_max, 4):
+        ks = range(first, first + n)
+        first += n
+        levels = np.searchsorted(cum, ks)
         out = []
-        for k in islice(ks, n):
-            m, theta, n_at_nu = int(table_m[k]), int(table_theta[k]), int(table_count[k])
+        for k, m, theta, n_at_nu in zip(ks, levels.tolist(), hist[levels].tolist(),
+                                        cum[levels].tolist()):
             nu = PI_SQUARED * float(m)
             gauss = (OMEGA_3 / 8.0) * max(math.sqrt(nu) / math.pi - math.sqrt(3.0), 0.0) ** 3
             out += [
@@ -132,83 +143,51 @@ def _cube_chain_chunks(k_max: int) -> _Chunks:
                 BoundReport("gauss_octant", {"k": k, "m": m}, gauss, float(n_at_nu)),
                 cube_eigenvalue_bound(k, nu),
             ]
-        return out
-
-    return _chunks(reports, k_max, 4)
+        yield out
 
 
-def _polya_chunks(samples: int, seed: int = 0, k_max: int = 1000) -> _Chunks:
+def _polya(samples: int, seed: int = 0, k_max: int = 1000) -> _Chunks:
+    """Polya's lower bound on lambda_k at seeded (box, k) pairs; each chunk's
+    pairs are drawn first and their lambda_k found in one ``kth_eigenvalues``
+    call."""
     rng = random.Random(seed)
-
-    def reports(n: int) -> list[BoundReport]:
+    for n in _sizes(samples):
         draws = [(sample_cuboid(rng), rng.randint(1, k_max)) for _ in range(n)]
         points = kth_eigenvalues([c for c, _ in draws], [k for _, k in draws])
-        return [BoundReport("polya", {"a1": c.a1, "a2": c.a2, "a3": c.a3, "k": k},
-                            polya_lower_bound(k), point.value)
-                for (c, k), point in zip(draws, points, strict=True)]
-
-    return _chunks(reports, samples)
+        yield [BoundReport("polya", {"a1": c.a1, "a2": c.a2, "a3": c.a3, "k": k},
+                           polya_lower_bound(k), point.value)
+               for (c, k), point in zip(draws, points, strict=True)]
 
 
-# Each suite's chunks as a function of (samples, seed), in ``verify --suite
-# all`` order; ``samples`` is the k range for cube-chain.
+# Each suite's chunks as a function of (samples, seed, its own parameters),
+# in ``verify --suite all`` order; ``samples`` is the k range for cube-chain.
 _SUITES = {
-    "lemma31": partial(_lemma_chunks, "lemma31", (1, 2), lemma31_rhs),
-    "lemma32": partial(_lemma_chunks, "lemma32", range(1, 7), lemma32_rhs),
-    "lemma41": _lemma41_chunks,
-    "identity": _identity_chunks,
-    "cube-chain": lambda samples, seed: _cube_chain_chunks(samples),
-    "polya": _polya_chunks,
+    "lemma31": partial(_lemma, "lemma31", (1, 2), lemma31_rhs),
+    "lemma32": partial(_lemma, "lemma32", range(1, 7), lemma32_rhs),
+    "lemma41": _lemma41,
+    "identity": _identity,
+    "cube-chain": _cube_chain,
+    "polya": _polya,
 }
 SUITE_NAMES = tuple(_SUITES)
 
 
-def suite_chunks(name: str, samples: int, seed: int = 0) -> _Chunks:
+def suite_chunks(name: str, samples: int, seed: int = 0, **params) -> _Chunks:
     """The reports of one named suite, in chunks of about CHUNK reports, made
     one chunk at a time; ``samples`` is the k range for cube-chain."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return _SUITES[name](samples, seed)
+    return _SUITES[name](samples, seed, **params)
 
 
-def run_suite(name: str, samples: int, seed: int = 0) -> list[BoundReport]:
+def run_suite(name: str, samples: int, seed: int = 0, **params) -> list[BoundReport]:
     """The reports of one named suite, its chunks joined in one list."""
-    return list(chain.from_iterable(suite_chunks(name, samples, seed)))
+    return list(chain.from_iterable(suite_chunks(name, samples, seed, **params)))
 
 
 lemma31_suite = partial(run_suite, "lemma31")
 lemma32_suite = partial(run_suite, "lemma32")
-
-
-def lemma41_suite(n_cuboids: int, seed: int = 0, lam_per_cuboid: int = 10,
-                  lam_max: float = 1.0e4) -> list[BoundReport]:
-    """Lemma 4.1's bound on N(lam) at ``lam_per_cuboid`` random lam per
-    sampled box, each box counted at all its lam in one walk."""
-    return list(chain.from_iterable(_lemma41_chunks(n_cuboids, seed, lam_per_cuboid, lam_max)))
-
-
-def identity_suite(samples: int, seed: int = 0, lam_max: float = 1.0e4) -> list[BoundReport]:
-    """Exact symmetry decomposition T = 8N + 4*sum T+ + 2*sum floor + 1.
-
-    lhs is T from the full-lattice counter, rhs the reassembled right side;
-    any nonzero residual is a bug, so a report passes only with slack
-    exactly 0 (T is an integer below 2^53, exact in float).  Each chunk's
-    boxes are drawn first and counted in one ``count_bundles`` call.
-    """
-    return list(chain.from_iterable(_identity_chunks(samples, seed, lam_max)))
-
-
-def cube_chain_suite(k_max: int) -> list[BoundReport]:
-    """Unit-cube counting chain for every k <= k_max.
-
-    Per k: k <= N(nu_k) <= k + Theta_k - 1 (exact integers), the Gauss octant
-    lower bound on N(nu_k), and the eigenvalue growth bound on nu_k^{3/2}.
-    """
-    return run_suite("cube-chain", k_max)
-
-
-def polya_suite(samples: int, seed: int = 0, k_max: int = 1000) -> list[BoundReport]:
-    """Polya's lower bound on lambda_k at seeded (box, k) pairs; each chunk's
-    pairs are drawn first and their lambda_k found in one ``kth_eigenvalues``
-    call."""
-    return list(chain.from_iterable(_polya_chunks(samples, seed, k_max)))
+lemma41_suite = partial(run_suite, "lemma41")
+identity_suite = partial(run_suite, "identity")
+cube_chain_suite = partial(run_suite, "cube-chain")
+polya_suite = partial(run_suite, "polya")
