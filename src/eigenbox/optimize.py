@@ -25,7 +25,15 @@ lambda_lower (1 + GAP_RTOL).
 
 The search is level-synchronous, from the root cells down: a level's cells
 are bounded in chunks of whole cells, at most ``_BLOCK`` rows (or one cell)
-a chunk, and the cells of one chunk share one incumbent.
+a chunk, and the cells of one chunk share one incumbent.  A chunk's rows are
+ordered by (cell, value, row), the order of ``np.lexsort((values, cell))``,
+to read off each cell's need-th smallest value; the values hold no NaN.
+From ``_KEY_SORT_ROWS`` = 1,024 rows on, where it is faster, that order is
+one argsort of the unique int64 key (cell * n + rank) * n + row, with rank
+the dense rank of the value among the n rows.  Equal values are common
+(permuted index triples share their AM-GM minimum), and the key breaks their
+ties by row as lexsort does, so the incumbent's path and every output byte
+are the same by either sort.
 
 A crossing optimum (a double eigenvalue: k = 3, 37, 61) costs about
 GAP_RTOL^(-1/2) cells.  On the crossing curve a cell of width h has a bound
@@ -67,6 +75,11 @@ MARGIN = 1e-13
 ROOT_CELLS = 8
 # The most cells one search may bound; k = 3, 37 and 61 take about 0.3M.
 CELL_BUDGET = 4_000_000
+# The fewest rows that ``_kth_per_cell`` sorts by one int64 key; fewer sort
+# faster by np.lexsort (2-core Xeon, numpy 2.4.6, lexsort against the key
+# sort: 2.0 against 19 us at 30 rows, 11.6 against 31 at 300, 435 against
+# 134 at 3,000 and 2,462 against 718 at 16,000).
+_KEY_SORT_ROWS = 1024
 
 
 class InsufficientSpanError(ValueError):
@@ -103,13 +116,25 @@ def branch_bounds(s, u0, u1, v0, v1) -> tuple[np.ndarray, np.ndarray]:
     def f(u, v):
         return a / u + b / v + c * (u * v)
 
+    def clip(x, lo, hi):
+        return np.minimum(np.maximum(x, lo), hi)
+
     t = np.cbrt(a * b * c)
-    inside = (u0 <= a / t) & (a / t <= u1) & (v0 <= b / t) & (b / t <= v1)
-    edges = [f(u, np.clip(np.sqrt(b / (c * u)), v0, v1)) for u in (u0, u1)]
-    edges += [f(np.clip(np.sqrt(a / (c * v)), u0, u1), v) for v in (v0, v1)]
-    lo = np.where(inside, 3.0 * t, np.minimum.reduce(edges))
-    hi = np.maximum.reduce([f(u, v) for u in (u0, u1) for v in (v0, v1)])
-    return lo * (PI_SQUARED * (1.0 - MARGIN)), hi * (PI_SQUARED * (1.0 + MARGIN))
+    pu, pv = a / t, b / t
+    inside = (u0 <= pu) & (pu <= u1) & (v0 <= pv) & (pv <= v1)
+    # min and max are exact: folded pairwise in place, they give the bits of
+    # one reduction over the four arrays without stacking them.
+    edge = np.minimum(f(u0, clip(np.sqrt(b / (c * u0)), v0, v1)),
+                      f(u1, clip(np.sqrt(b / (c * u1)), v0, v1)))
+    for v in (v0, v1):
+        np.minimum(edge, f(clip(np.sqrt(a / (c * v)), u0, u1), v), out=edge)
+    hi = np.maximum(f(u0, v0), f(u0, v1))
+    np.maximum(hi, f(u1, v0), out=hi)
+    np.maximum(hi, f(u1, v1), out=hi)
+    lo = np.where(inside, 3.0 * t, edge)
+    lo *= PI_SQUARED * (1.0 - MARGIN)
+    hi *= PI_SQUARED * (1.0 + MARGIN)
+    return lo, hi
 
 
 def root_cells() -> np.ndarray:
@@ -129,12 +154,47 @@ def _meets_domain(box: np.ndarray) -> np.ndarray:
 
 
 def _kth_per_cell(values, cell, n_cells, need):
-    """The rows sorted by (cell, value), the cells holding at least ``need``
-    rows, and the row of each such cell's need-th smallest value."""
-    order = np.lexsort((values, cell))
+    """The rows sorted by (cell, value, row), the cells holding at least
+    ``need`` rows, and the row of each such cell's need-th smallest value.
+
+    ``values`` hold no NaN and ``cell`` is below ``n_cells``.  The order is
+    ``np.lexsort((values, cell))``'s, so equal values keep their row order;
+    from ``_KEY_SORT_ROWS`` rows on ``_cell_order`` finds it by one argsort
+    of a unique int64 key.
+    """
+    order = _cell_order(values, cell, n_cells)
     counts = np.bincount(cell, minlength=n_cells)
     has = counts >= need
     return order, has, order[(np.cumsum(counts) - counts + need - 1)[has]]
+
+
+def _cell_order(values, cell, n_cells):
+    """``np.lexsort((values, cell))``: below ``_KEY_SORT_ROWS`` rows by it,
+    else by one argsort of the key (cell * n + rank) * n + row, where rank is
+    the dense rank of the value (equal values share one) and n the rows.
+
+    Every key is below n_cells * n**2, and lexsort is kept where that passes
+    2^63.  In a search it never does at the default candidate cap C = 24M: a
+    chunk of many cells holds at most ``_BLOCK`` = 2^14 rows in at most
+    CELL_BUDGET < 2^22 cells (2^50), one root cell at most C rows (C^2 <
+    2^50), and one parent's children at most 4 C rows in 4 cells (64 C^2 <
+    2^56); only C above 3.8e8 could pass it.
+    """
+    n = len(values)
+    if n < _KEY_SORT_ROWS or n_cells * n * n > 1 << 63:
+        return np.lexsort((values, cell))
+    by_value = np.argsort(values)
+    ordered = values[by_value]
+    step = np.empty(n, np.int64)
+    step[0] = 0
+    np.not_equal(ordered[1:], ordered[:-1], out=step[1:])
+    rank = np.empty(n, np.int64)
+    rank[by_value] = np.cumsum(step, out=step)
+    key = np.multiply(cell, n, dtype=np.int64)
+    key += rank
+    key *= n
+    key += np.arange(n)
+    return np.argsort(key)
 
 
 class _Cells(NamedTuple):
@@ -213,18 +273,20 @@ class _Search:
         while a < len(level.bound):
             b = max(a + 1, int(np.searchsorted(off, off[a] + _BLOCK // 4, "right")) - 1)
             # The children of cell p are 4p .. 4p+3, split at its geometric midpoints.
-            u0, u1, v0, v1 = (np.repeat(x, 4) for x in level.box[:, a:b])
+            u0, u1, v0, v1 = np.repeat(level.box[:, a:b], 4, axis=1)
             um, vm = np.sqrt(u0 * u1), np.sqrt(v0 * v1)
-            hu, hv = np.tile([0, 1], 2 * (b - a)) == 1, np.tile([0, 0, 1, 1], b - a) == 1
+            j = np.arange(4 * (b - a)) & 3
+            hu, hv = (j & 1) == 1, j >= 2
             box = np.array([np.where(hu, um, u0), np.where(hu, u1, um),
                             np.where(hv, vm, v0), np.where(hv, v1, vm)])
             keep = _meets_domain(box)
             parent = np.repeat(np.arange(b - a), level.n_rows[a:b])
             child = (4 * parent + np.arange(4)[:, None]).ravel()
             take = keep[child]
+            s = level.s[:, off[a]:off[b]]
             yield (box[:, keep], np.repeat(level.bound[a:b], 4)[keep],
                    np.repeat(level.below[a:b], 4)[keep],
-                   np.tile(level.s[:, off[a]:off[b]], 4)[:, take], (np.cumsum(keep) - 1)[child[take]])
+                   np.concatenate((s, s, s, s), axis=1)[:, take], (np.cumsum(keep) - 1)[child[take]])
             a = b
 
     def bound(self, box, parent, below, s, cell) -> _Cells:

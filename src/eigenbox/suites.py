@@ -111,9 +111,14 @@ def _identity(samples: int, seed: int = 0, lam_max: float = 1.0e4) -> _Chunks:
     for n in _sizes(samples):
         draws = [(sample_cuboid(rng), rng.uniform(0.0, lam_max)) for _ in range(n)]
         bundles = lattice.count_bundles([c for c, _ in draws], [lam for _, lam in draws])
-        yield [BoundReport("identity", {"a1": c.a1, "a2": c.a2, "a3": c.a3, "lam": lam},
-                           float(b.t), float(b.t - b.octant_identity_residual()), exact=True)
-               for (c, lam), b in zip(draws, bundles, strict=True)]
+        chunk = [BoundReport("identity", {"a1": c.a1, "a2": c.a2, "a3": c.a3, "lam": lam},
+                             float(b.t), float(b.t - b.octant_identity_residual()), exact=True)
+                 for (c, lam), b in zip(draws, bundles, strict=True)]
+        # This frame lives across the yield: free the draws before it, and
+        # the chunk after it, as the writer takes the next one.
+        del draws, bundles
+        yield chunk
+        del chunk
 
 
 def _cube_chain(k_max: int, seed: int = 0) -> _Chunks:
@@ -154,9 +159,12 @@ def _polya(samples: int, seed: int = 0, k_max: int = 1000) -> _Chunks:
     for n in _sizes(samples):
         draws = [(sample_cuboid(rng), rng.randint(1, k_max)) for _ in range(n)]
         points = kth_eigenvalues([c for c, _ in draws], [k for _, k in draws])
-        yield [BoundReport("polya", {"a1": c.a1, "a2": c.a2, "a3": c.a3, "k": k},
-                           polya_lower_bound(k), point.value)
-               for (c, k), point in zip(draws, points, strict=True)]
+        chunk = [BoundReport("polya", {"a1": c.a1, "a2": c.a2, "a3": c.a3, "k": k},
+                             polya_lower_bound(k), point.value)
+                 for (c, k), point in zip(draws, points, strict=True)]
+        del draws, points
+        yield chunk
+        del chunk
 
 
 # Each suite's chunks as a function of (samples, seed, its own parameters),
